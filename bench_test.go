@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,41 +343,5 @@ func BenchmarkExecCoalesce(b *testing.B) {
 	st := x.ExecStats()
 	if st.Queries > 0 {
 		b.ReportMetric(float64(st.Coalesced)/float64(st.Queries), "coalesced/query")
-	}
-}
-
-// BenchmarkExecBatch measures the micro-batching path: parallel workers
-// issuing distinct queries that the linger window packs into shared batch
-// requests. wire/query < 1 is the amortization of the per-request
-// rate-limit charge.
-func BenchmarkExecBatch(b *testing.B) {
-	db := benchVehiclesDB(b, 20000, 1000, hiddendb.CountNone)
-	x := queryexec.New(formclient.NewLocal(db), queryexec.Options{
-		BatchLinger: 200 * time.Microsecond,
-		MaxBatch:    16,
-	})
-	ctx := context.Background()
-	var worker atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		w := int(worker.Add(1))
-		i := 0
-		for pb.Next() {
-			q := hiddendb.MustQuery(
-				hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: (w + i) % 8},
-				hiddendb.Predicate{Attr: datagen.VehAttrYear, Value: i % 5},
-				hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: w % 2})
-			i++
-			if _, err := x.Execute(ctx, q); err != nil {
-				b.Error(err) // b.Fatal must not be called off the benchmark goroutine
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	st := x.ExecStats()
-	if st.Queries > 0 {
-		b.ReportMetric(float64(st.WireCalls)/float64(st.Queries), "wire/query")
-		b.ReportMetric(float64(st.Batched)/float64(st.Queries), "batched/query")
 	}
 }

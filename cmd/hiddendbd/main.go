@@ -37,11 +37,9 @@ func main() {
 		rate      = flag.Float64("rate", 0, "per-client queries/sec (0 = unlimited)")
 		burst     = flag.Int("burst", 10, "rate-limit burst")
 		budget    = flag.Int64("budget", 0, "total query budget (0 = unlimited)")
-		maxBatch  = flag.Int("max-batch", 16, "max queries per /api/search/batch request")
 		pprofAddr = flag.String("pprof", "", "listen address for net/http/pprof profiling, e.g. localhost:6061 (empty = disabled)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat = flag.String("log-format", "text", "log output format: text | json")
-		parIsect  = flag.Bool("parallel-intersect", false, "split large multi-predicate posting-list intersections across GOMAXPROCS workers")
 	)
 	flag.Parse()
 	lg, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -69,7 +67,6 @@ func main() {
 	}
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{
 		K: *k, CountMode: mode, CountNoise: *noise, NoiseSeed: uint64(*seed), QueryBudget: *budget,
-		ParallelIntersect: *parIsect,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -79,7 +76,7 @@ func main() {
 	// rejections and request latency, served on /metrics beside the form.
 	reg := telemetry.NewRegistry()
 	srv := webform.NewServer(db, webform.Options{
-		RatePerSec: *rate, Burst: *burst, MaxBatch: *maxBatch, Metrics: reg,
+		RatePerSec: *rate, Burst: *burst, Metrics: reg,
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())

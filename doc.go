@@ -30,9 +30,9 @@
 //   - internal/queryexec — the query-execution layer concurrent sampler
 //     paths route through: single-flight coalescing of identical in-flight
 //     queries (complementing the history cache's completed-query
-//     memoization), micro-batching of concurrent distinct queries into
-//     one batch wire request, and an AIMD adaptive concurrency limiter
-//     with an aggregate per-host rate budget (Config.Exec tunes it)
+//     memoization), an AIMD adaptive concurrency limiter with an
+//     aggregate per-host rate budget, and bounded transient retry
+//     (Config.Exec tunes it)
 //   - internal/core — the samplers, rejection and pipeline
 //   - internal/jobsvc — the sampling job-orchestration service behind
 //     cmd/hdsamplerd: worker pools, shared per-host history caches,

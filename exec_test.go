@@ -33,22 +33,19 @@ func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB,
 	return db, srv, &hits
 }
 
-// TestDrawParallelExecSavesWireRequests is the tentpole acceptance check:
-// an 8-replica draw routed through the execution layer issues measurably
-// fewer wire requests than the replicas' combined logical query bill —
-// the coalescing + micro-batching win on top of (and independent of) the
-// history cache, which is disabled here to isolate the layer.
-func TestDrawParallelExecSavesWireRequests(t *testing.T) {
+// TestDrawParallelExecOverAPI drives an 8-replica draw through the
+// execution layer, under an AIMD ceiling, over the JSON API connector
+// with the history cache disabled: every sample arrives, and both the
+// replicas' logical query bill and the site's wire traffic are nonzero.
+// Coalescing itself is pinned deterministically by queryexec's
+// TestCoalesceIdenticalInFlight.
+func TestDrawParallelExecOverAPI(t *testing.T) {
 	_, srv, hits := countingTarget(t, 2000, 250, webform.Options{})
 	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
 	cfg := Config{
 		Seed:         3,
 		ShuffleOrder: true,
-		Exec: ExecConfig{
-			BatchLinger: 2 * time.Millisecond,
-			MaxBatch:    16,
-			MaxInFlight: 8,
-		},
+		Exec:         ExecConfig{MaxInFlight: 8},
 	}
 	tuples, stats, err := DrawParallel(context.Background(), conn, cfg, 64, 8)
 	if err != nil {
@@ -57,19 +54,11 @@ func TestDrawParallelExecSavesWireRequests(t *testing.T) {
 	if len(tuples) != 64 {
 		t.Fatalf("drew %d tuples, want 64", len(tuples))
 	}
-	logical := stats.Queries
-	wire := hits.Load() - 1 // minus the schema fetch
-	if logical == 0 {
+	if stats.Queries == 0 {
 		t.Fatal("no queries recorded")
 	}
-	// The baseline bill is one wire request per logical query. With
-	// coalescing and batching the stream must compress; 10% slack keeps
-	// the assertion robust against scheduling that yields little overlap.
-	if wire > logical*9/10 {
-		t.Fatalf("wire requests = %d for %d logical queries; execution layer saved nothing", wire, logical)
-	}
-	if stats.QueriesCoalesced+stats.QueriesBatched == 0 {
-		t.Fatal("stats report neither coalesced nor batched queries")
+	if wire := hits.Load() - 1; wire <= 0 { // minus the schema fetch
+		t.Fatalf("site saw %d query requests", wire)
 	}
 }
 
@@ -106,7 +95,7 @@ func TestDrawParallelAggregateRateBounded(t *testing.T) {
 }
 
 // TestReplicaSetExecStats covers the layer's wiring and stat plumbing
-// over a local connector (batch-capable, so both mechanisms engage).
+// over a local connector.
 func TestReplicaSetExecStats(t *testing.T) {
 	ds := datagen.Vehicles(1500, 9)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
@@ -115,7 +104,6 @@ func TestReplicaSetExecStats(t *testing.T) {
 	}
 	rs, err := NewReplicaSet(context.Background(), LocalConn(db), Config{
 		Seed: 11, ShuffleOrder: true,
-		Exec: ExecConfig{BatchLinger: time.Millisecond},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)

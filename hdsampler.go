@@ -39,8 +39,8 @@ type (
 	Estimate = estimate.Estimate
 	// Marginal is a sampled attribute histogram.
 	Marginal = estimate.Marginal
-	// ExecStats counts the query-execution layer's coalescing and
-	// batching work.
+	// ExecStats counts the query-execution layer's coalescing, wire and
+	// retry work.
 	ExecStats = queryexec.Stats
 )
 
@@ -74,22 +74,14 @@ func (m Method) String() string {
 }
 
 // ExecConfig tunes the query-execution layer (internal/queryexec):
-// single-flight coalescing of identical in-flight queries, micro-batching
-// of concurrent distinct queries, and AIMD-adaptive concurrency limiting
-// shared by every replica on the connector.
+// single-flight coalescing of identical in-flight queries, AIMD-adaptive
+// concurrency limiting shared by every replica on the connector, and
+// bounded transient retry.
 type ExecConfig struct {
 	// Disable bypasses the execution layer entirely. The jobsvc daemon
 	// sets this on its ReplicaSets: its per-host connector stacks already
 	// contain a shared executor.
 	Disable bool
-	// BatchLinger, when positive, holds wire-bound queries up to this
-	// long so concurrent distinct queries can share one batch request
-	// (POST /api/search/batch, one rate-limit charge for the whole
-	// batch). Effective only on batch-capable connectors (DialAPI,
-	// LocalConn); HTML scraping falls back to sequential execution.
-	BatchLinger time.Duration
-	// MaxBatch bounds queries per batch request (default 16).
-	MaxBatch int
 	// MaxInFlight caps concurrent wire requests across all replicas: the
 	// AIMD ceiling, additively raised on clean responses and
 	// multiplicatively cut on 429 pushback. 0 disables concurrency
@@ -133,8 +125,6 @@ func (e ExecConfig) limiter() *queryexec.Limiter {
 // options converts the knobs to the internal layer's options.
 func (e ExecConfig) options() queryexec.Options {
 	return queryexec.Options{
-		BatchLinger:      e.BatchLinger,
-		MaxBatch:         e.MaxBatch,
 		Limiter:          e.limiter(),
 		TransientRetries: e.TransientRetries,
 	}
@@ -184,8 +174,8 @@ type Config struct {
 	AdaptiveWarmup int
 	// Exec tunes the query-execution layer. A single Sampler routes
 	// through it only when an admission knob is set (a lone generator
-	// goroutine has nothing to coalesce or batch); ReplicaSet and
-	// DrawParallel always route through it unless Disable is set.
+	// goroutine has nothing to coalesce); ReplicaSet and DrawParallel
+	// always route through it unless Disable is set.
 	Exec ExecConfig
 	// Obs observes candidate draws: walk-duration histogram, sampled walk
 	// tracing, and the slow-walk log. The observer's instruments are
@@ -205,10 +195,8 @@ type Stats struct {
 	Queries      int64
 	QueriesSaved int64
 	// QueriesCoalesced counts queries answered by joining an identical
-	// in-flight query, QueriesBatched those shipped inside shared batch
-	// wire requests — the execution layer's savings (zero without it).
+	// in-flight query — the execution layer's savings (zero without it).
 	QueriesCoalesced int64
-	QueriesBatched   int64
 	// QueriesRetried counts wire executions the execution layer repeated
 	// after transient interface faults — misbehaviour absorbed before it
 	// could kill a walk (zero without the layer).
@@ -238,15 +226,11 @@ func New(ctx context.Context, conn Conn, cfg Config) (*Sampler, error) {
 	effective := conn
 	// The execution layer sits below the cache: cache misses are the
 	// queries worth rate-bounding. A lone sampler has no concurrency to
-	// coalesce or batch (its generator issues queries sequentially, so a
-	// linger window could only ever hold one query and would add pure
-	// latency), so it routes through the layer only when an admission
-	// knob asks for it; ReplicaSet wires the full layer for the
-	// concurrent paths.
+	// coalesce (its generator issues queries sequentially), so it routes
+	// through the layer only when an admission knob asks for it;
+	// ReplicaSet wires the full layer for the concurrent paths.
 	if !cfg.Exec.Disable && cfg.Exec.limited() {
-		opts := cfg.Exec.options()
-		opts.BatchLinger = 0
-		s.exec = queryexec.New(conn, opts)
+		s.exec = queryexec.New(conn, cfg.Exec.options())
 		effective = s.exec
 	}
 	if cfg.UseHistory {

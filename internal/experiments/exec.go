@@ -16,9 +16,8 @@ import (
 )
 
 // ExecLayer measures the query-execution layer's wire economics: the same
-// 8-replica draw run direct, with single-flight coalescing, and with
-// coalescing plus micro-batching against the web form's batch endpoint.
-// The interface round trip is HDSampler's bottleneck (every drill-down
+// 8-replica draw run direct and with single-flight coalescing. The
+// interface round trip is HDSampler's bottleneck (every drill-down
 // level is one HTTP query against a rate-limited site), so the headline
 // number is wire requests per logical query — the fraction of the
 // politeness budget each configuration burns for the same sample.
@@ -32,34 +31,27 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := httptest.NewServer(webform.NewServer(db, webform.Options{MaxBatch: 16}))
+	srv := httptest.NewServer(webform.NewServer(db, webform.Options{}))
 	defer srv.Close()
 
 	t := &Table{
 		ID:      "exec",
-		Title:   "query-execution layer: coalescing + micro-batching wire savings (8 replicas)",
-		Header:  []string{"configuration", "samples", "logical queries", "wire requests", "wire/query", "coalesced", "batched", "wall(ms)"},
+		Title:   "query-execution layer: coalescing wire savings (8 replicas)",
+		Header:  []string{"configuration", "samples", "logical queries", "wire requests", "wire/query", "coalesced", "wall(ms)"},
 		Metrics: map[string]float64{},
 	}
 	for _, cfg := range []struct {
-		name     string
-		layer    bool
-		linger   time.Duration
-		inflight int
+		name  string
+		layer bool
 	}{
-		{"direct (baseline)", false, 0, 0},
-		{"+ coalesce", true, 0, 0},
-		{"+ coalesce + batch 3ms", true, 3 * time.Millisecond, 8},
+		{"direct (baseline)", false},
+		{"+ coalesce", true},
 	} {
 		api := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
 		var conn formclient.Conn = api
 		var exec *queryexec.Executor
 		if cfg.layer {
-			opts := queryexec.Options{BatchLinger: cfg.linger, MaxBatch: 16}
-			if cfg.inflight > 0 {
-				opts.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{MaxInFlight: cfg.inflight})
-			}
-			exec = queryexec.New(api, opts)
+			exec = queryexec.New(api, queryexec.Options{})
 			conn = exec
 		}
 		if _, err := conn.Schema(ctx); err != nil {
@@ -104,10 +96,9 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 		wall := time.Since(start)
 		wire := api.Stats().HTTPRequests - req0
 		perQuery := float64(wire) / float64(logical)
-		var coalesced, batched int64
+		var coalesced int64
 		if exec != nil {
-			xs := exec.ExecStats()
-			coalesced, batched = xs.Coalesced, xs.Batched
+			coalesced = exec.ExecStats().Coalesced
 		}
 		t.Rows = append(t.Rows, []string{
 			cfg.name,
@@ -116,13 +107,12 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 			fmt.Sprintf("%d", wire),
 			fmtF(perQuery),
 			fmt.Sprintf("%d", coalesced),
-			fmt.Sprintf("%d", batched),
 			fmt.Sprintf("%d", wall.Milliseconds()),
 		})
 		t.Metrics["wire/query:"+cfg.name] = perQuery
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("vehicles n=%d behind the web form API, k=500, %d replicas × %d raw-walk samples, no history cache (isolating the layer)", n, workers, perWorker),
-		"coalescing collapses identical in-flight queries; batching packs concurrent distinct queries into POST /api/search/batch, one rate-limit charge per batch wire request")
+		"coalescing collapses identical in-flight queries into one wire request whose answer fans out to every waiter")
 	return t, nil
 }

@@ -9,9 +9,8 @@
 //
 //	sampler → history.Cache → queryexec.Executor → faultform → formclient.Local
 //
-// which makes queryexec's AIMD limiter, transient-retry and batch-fallback
-// paths, and the samplers' liveness properties testable without a flaky
-// network. 429 bursts are emulated the way formclient.HTTP experiences
+// which makes queryexec's AIMD limiter and transient-retry paths, and the
+// samplers' liveness properties, testable without a flaky network. 429 bursts are emulated the way formclient.HTTP experiences
 // them (internal client retries surfacing as a RateLimitRetries advance,
 // ErrRateLimited past the budget); transient blips surface as
 // formclient.ErrTransient for the layer above to retry.

@@ -143,27 +143,9 @@ func (s Stats) Total() int64 {
 		s.Reordered + s.RoundedCounts + s.SlowCalls
 }
 
-// Faulty is the wrapped connector: a formclient.Conn that also reports
-// what it injected.
-type Faulty interface {
-	formclient.Conn
-	// FaultStats snapshots the injection counters.
-	FaultStats() Stats
-	// FaultProfile returns the active profile.
-	FaultProfile() Profile
-}
-
-// batchExecer mirrors queryexec.BatchExecer structurally (importing it
-// here would be a needless dependency).
-type batchExecer interface {
-	ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
-}
-
 // Wrap decorates inner with the profile's faults, deterministically from
-// seed. When inner supports batch execution the wrapper does too, so the
-// execution layer's micro-batching (and its fault fallback) stays
-// exercised.
-func Wrap(inner formclient.Conn, p Profile, seed int64) Faulty {
+// seed.
+func Wrap(inner formclient.Conn, p Profile, seed int64) *Conn {
 	if p.RateLimitBurst <= 0 {
 		p.RateLimitBurst = 2
 	}
@@ -173,20 +155,17 @@ func Wrap(inner formclient.Conn, p Profile, seed int64) Faulty {
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = 5
 	}
-	c := &Conn{
+	return &Conn{
 		inner:   inner,
 		profile: p,
 		seed:    uint64(seed),
 		sleep:   sleepCtx,
 		att:     make(map[uint64]*attemptState),
 	}
-	if be, ok := inner.(batchExecer); ok {
-		return &BatchConn{Conn: c, batch: be}
-	}
-	return c
 }
 
-// Conn is the fault-injecting connector for batchless inner connectors.
+// Conn is the fault-injecting connector: a formclient.Conn that also
+// reports what it injected.
 type Conn struct {
 	inner   formclient.Conn
 	profile Profile
@@ -251,7 +230,7 @@ func (c *Conn) Stats() formclient.Stats {
 	return s
 }
 
-// FaultStats implements Faulty.
+// FaultStats snapshots the injection counters.
 func (c *Conn) FaultStats() Stats {
 	return Stats{
 		RateLimited:   c.sRateLimited.Load(),
@@ -264,7 +243,7 @@ func (c *Conn) FaultStats() Stats {
 	}
 }
 
-// FaultProfile implements Faulty.
+// FaultProfile returns the active profile.
 func (c *Conn) FaultProfile() Profile { return c.profile }
 
 // Execute implements formclient.Conn.
@@ -403,41 +382,6 @@ func (c *Conn) u01(hash, salt uint64) float64 {
 	return float64(mix(c.seed, hash, salt)>>11) / float64(1<<53)
 }
 
-// BatchConn adds batch execution to a fault-injecting connector whose
-// inner connector supports it.
-type BatchConn struct {
-	*Conn
-	batch batchExecer
-}
-
-// ExecuteBatch implements the batch capability: one wire interaction for
-// the whole batch, so wire-level faults are decided by the batch's
-// combined signature (a 429 burst or a blip fails every member at once —
-// exactly how one HTTP response behaves), while content faults stay
-// per-query.
-func (b *BatchConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
-	combined := b.seed
-	for _, q := range qs {
-		combined = mix(combined, q.Hash())
-	}
-	if err := b.preflight(ctx, combined, fmt.Sprintf("batch(%d)", len(qs))); err != nil {
-		return nil, err
-	}
-	results, err := b.batch.ExecuteBatch(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*hiddendb.Result, len(results))
-	for i, res := range results {
-		if i < len(qs) {
-			out[i] = b.mutate(qs[i].Hash(), res)
-		} else {
-			out[i] = res
-		}
-	}
-	return out, nil
-}
-
 // shuffle permutes tuples with a Fisher–Yates walk driven by splitmix64.
 func shuffle(ts []hiddendb.Tuple, state uint64) {
 	for i := len(ts) - 1; i > 0; i-- {
@@ -487,4 +431,3 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 var _ formclient.Conn = (*Conn)(nil)
-var _ Faulty = (*BatchConn)(nil)

@@ -207,34 +207,6 @@ func TestCountRounding(t *testing.T) {
 	}
 }
 
-func TestBatchCapabilityPreservedAndFaulted(t *testing.T) {
-	db := testDB(t, 200, 25, hiddendb.CountNone)
-	conn := Wrap(formclient.NewLocal(db), Profile{TransientProb: 1, TransientBurst: 1}, 5)
-	be, ok := conn.(interface {
-		ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
-	})
-	if !ok {
-		t.Fatal("wrapping a batch-capable conn lost the batch capability")
-	}
-	ctx := context.Background()
-	qs := []hiddendb.Query{
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 0}),
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1}),
-	}
-	// The batch's combined signature blips once (one wire interaction),
-	// then the retried batch flows.
-	if _, err := be.ExecuteBatch(ctx, qs); !errors.Is(err, formclient.ErrTransient) {
-		t.Fatalf("first batch: err = %v, want ErrTransient", err)
-	}
-	results, err := be.ExecuteBatch(ctx, qs)
-	if err != nil {
-		t.Fatalf("retried batch: %v", err)
-	}
-	if len(results) != len(qs) {
-		t.Fatalf("batch answered %d of %d", len(results), len(qs))
-	}
-}
-
 func TestPresetsResolve(t *testing.T) {
 	for _, name := range PresetNames() {
 		p, ok := Preset(name)

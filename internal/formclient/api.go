@@ -1,7 +1,6 @@
 package formclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -119,7 +118,10 @@ func (a *API) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, 
 	return decodeWireResult(schema, &wr)
 }
 
-// decodeWireResult converts one wire result into a hiddendb.Result.
+// decodeWireResult converts one wire result into a hiddendb.Result. Rows
+// must match the schema: one value index per attribute, each inside its
+// attribute's domain — the API-side counterpart of the HTML scraper
+// rejecting an unknown label.
 func decodeWireResult(schema *hiddendb.Schema, wr *wireResult) (*hiddendb.Result, error) {
 	res := &hiddendb.Result{Overflow: wr.Overflow, Count: hiddendb.CountAbsent}
 	if wr.Count != nil {
@@ -129,6 +131,11 @@ func decodeWireResult(schema *hiddendb.Schema, wr *wireResult) (*hiddendb.Result
 	for _, row := range wr.Rows {
 		if len(row.Vals) != m {
 			return nil, fmt.Errorf("%w: row arity %d, want %d", ErrPageFormat, len(row.Vals), m)
+		}
+		for a, v := range row.Vals {
+			if v < 0 || v >= schema.DomainSize(a) {
+				return nil, fmt.Errorf("%w: value %d out of domain for %q", ErrPageFormat, v, schema.Attrs[a].Name)
+			}
 		}
 		t := hiddendb.Tuple{ID: row.ID, Vals: row.Vals, Nums: make([]float64, m)}
 		for i := 0; i < m; i++ {
@@ -142,70 +149,6 @@ func decodeWireResult(schema *hiddendb.Schema, wr *wireResult) (*hiddendb.Result
 		res.Tuples = append(res.Tuples, t)
 	}
 	return res, nil
-}
-
-// wireBatch is the POST /api/search/batch request body: one predicate map
-// (attribute name → value index) per query.
-type wireBatch struct {
-	Queries []map[string]int `json:"queries"`
-}
-
-// wireBatchResult is the batch endpoint's response body.
-type wireBatchResult struct {
-	Results []wireResult `json:"results"`
-}
-
-// ExecuteBatch answers several queries with one POST /api/search/batch
-// wire request — the queryexec micro-batching capability. The server
-// charges the whole batch a single rate-limit token, so b packed queries
-// cost 1/b of the politeness budget each.
-func (a *API) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
-	schema, err := a.Schema(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req := wireBatch{Queries: make([]map[string]int, len(qs))}
-	size := len(`{"queries":[]}`) + 3*len(qs) // framing plus per-query braces/commas
-	for i, q := range qs {
-		if err := q.ValidateAgainst(schema); err != nil {
-			return nil, err
-		}
-		m := make(map[string]int, q.Len())
-		for p := range q.All() {
-			m[schema.Attrs[p.Attr].Name] = p.Value
-			size += len(schema.Attrs[p.Attr].Name) + 8 // "name":vv,
-		}
-		req.Queries[i] = m
-	}
-	// Encode into one buffer sized from the actual predicates, and ship
-	// its bytes without an intermediate string copy: batch bodies are
-	// built on every linger-window flush.
-	var buf bytes.Buffer
-	buf.Grow(size)
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, err
-	}
-	body, err := a.http.post(ctx, a.http.base+"/api/search/batch", "application/json", buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	a.queries.Add(int64(len(qs)))
-	var wbr wireBatchResult
-	if err := json.Unmarshal([]byte(body), &wbr); err != nil {
-		return nil, fmt.Errorf("%w: batch result JSON: %v", ErrPageFormat, err)
-	}
-	if len(wbr.Results) != len(qs) {
-		return nil, fmt.Errorf("%w: batch answered %d of %d queries", ErrPageFormat, len(wbr.Results), len(qs))
-	}
-	out := make([]*hiddendb.Result, len(qs))
-	for i := range wbr.Results {
-		res, err := decodeWireResult(schema, &wbr.Results[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // Stats implements Conn.

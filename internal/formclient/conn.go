@@ -46,7 +46,6 @@ type Conn interface {
 type Local struct {
 	db      *hiddendb.DB
 	queries atomic.Int64
-	batches atomic.Int64
 }
 
 // NewLocal wraps db as a Conn.
@@ -70,29 +69,6 @@ func (l *Local) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 	l.queries.Add(1)
 	return l.db.Execute(q)
 }
-
-// ExecuteBatch answers several queries in one call — the in-process
-// analogue of the web form's batch endpoint, so the queryexec layer (and
-// offline experiments) can exercise micro-batching without a server.
-func (l *Local) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	l.batches.Add(1)
-	out := make([]*hiddendb.Result, len(qs))
-	for i, q := range qs {
-		l.queries.Add(1)
-		res, err := l.db.Execute(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// BatchCalls returns the number of ExecuteBatch invocations.
-func (l *Local) BatchCalls() int64 { return l.batches.Load() }
 
 // Stats implements Conn.
 func (l *Local) Stats() Stats {

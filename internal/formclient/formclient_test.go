@@ -2,7 +2,9 @@ package formclient
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -345,6 +347,52 @@ func TestAPIConn(t *testing.T) {
 	again, err := conn.Execute(ctx, q)
 	if err != nil || again.Count != got.Count {
 		t.Error("approx count changed between identical queries")
+	}
+}
+
+// TestAPIRejectsOutOfDomainValues: a site whose /api/search rows carry
+// value indexes outside the discovered domains fails the query with
+// ErrPageFormat, the way the HTML scraper fails an unknown label.
+// Accepting the row would let the sampler save a tuple that the sample
+// store then refuses to read back.
+func TestAPIRejectsOutOfDomainValues(t *testing.T) {
+	ds := datagen.Vehicles(100, 21)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := webform.NewServer(db, webform.Options{})
+	m := ds.Schema.NumAttrs()
+	for _, tc := range []struct {
+		name      string
+		attr, val int
+	}{
+		{"one past the domain", datagen.VehAttrMake, ds.Schema.DomainSize(datagen.VehAttrMake)},
+		{"far past the domain", datagen.VehAttrMake, 9999},
+		{"negative", m - 1, -3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vals := make([]int, m)
+			vals[tc.attr] = tc.val
+			row, err := json.Marshal(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/api/search" {
+					w.Header().Set("Content-Type", "application/json")
+					fmt.Fprintf(w, `{"overflow":false,"rows":[{"id":7,"vals":%s}]}`, row)
+					return
+				}
+				site.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			conn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client()})
+			res, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())
+			if !errors.Is(err, ErrPageFormat) {
+				t.Fatalf("Execute = %+v, %v; want ErrPageFormat", res, err)
+			}
+		})
 	}
 }
 

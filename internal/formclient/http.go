@@ -1,7 +1,6 @@
 package formclient
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -105,27 +104,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// get fetches a URL with rate-limit retries and returns the body.
-func (h *HTTP) get(ctx context.Context, u string) (string, error) {
-	return h.do(ctx, http.MethodGet, u, "", nil)
-}
-
-// post submits a payload with the same retry and politeness machinery.
-func (h *HTTP) post(ctx context.Context, u, contentType string, payload []byte) (string, error) {
-	return h.do(ctx, http.MethodPost, u, contentType, payload)
-}
-
-// do performs one logical request with rate-limit and transient-fault
-// retries and returns the body. payload is borrowed for the call (each
-// retry re-reads it), never retained, so callers can hand over a reusable
-// buffer's bytes.
+// get fetches a URL with rate-limit and transient-fault retries and
+// returns the body.
 //
 // Two fault families are retried within the shared MaxRetries budget but
 // counted separately, because upper layers react differently: 429s are
 // congestion (the AIMD limiter backs off when RateLimitRetries advances),
 // while 5xx blips and timed-out requests are plain flakiness
 // (TransientRetries) that must not shrink the concurrency window.
-func (h *HTTP) do(ctx context.Context, method, u, contentType string, payload []byte) (string, error) {
+func (h *HTTP) get(ctx context.Context, u string) (string, error) {
 	var lastWait time.Duration
 	var retrying *atomic.Int64 // counter to bump when the next attempt starts
 	var budgetErr error        // error surfaced when the retry budget runs out
@@ -141,16 +128,9 @@ func (h *HTTP) do(ctx context.Context, method, u, contentType string, payload []
 				return "", err
 			}
 		}
-		var reqBody io.Reader
-		if method != http.MethodGet {
-			reqBody = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, u, reqBody)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
 			return "", err
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
 		}
 		h.requests.Add(1)
 		resp, err := h.opts.Client.Do(req)
@@ -158,7 +138,7 @@ func (h *HTTP) do(ctx context.Context, method, u, contentType string, payload []
 			// A timed-out request is a blip worth retrying; a cancelled
 			// context (or any other transport failure) is not.
 			if ctx.Err() == nil && isTimeout(err) {
-				retrying, budgetErr = &h.transients, fmt.Errorf("%w: %s %s: %v", ErrTransient, method, u, err)
+				retrying, budgetErr = &h.transients, fmt.Errorf("%w: GET %s: %v", ErrTransient, u, err)
 				lastWait = transientWait(attempt, h.opts.MaxRetryWait)
 				continue
 			}
@@ -178,13 +158,13 @@ func (h *HTTP) do(ctx context.Context, method, u, contentType string, payload []
 			continue
 		case http.StatusInternalServerError, http.StatusBadGateway,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			retrying, budgetErr = &h.transients, fmt.Errorf("%w: %s %s: status %d: %s",
-				ErrTransient, method, u, resp.StatusCode, strings.TrimSpace(string(body)))
+			retrying, budgetErr = &h.transients, fmt.Errorf("%w: GET %s: status %d: %s",
+				ErrTransient, u, resp.StatusCode, strings.TrimSpace(string(body)))
 			lastWait = transientWait(attempt, h.opts.MaxRetryWait)
 			continue
 		default:
-			return "", fmt.Errorf("formclient: %s %s: status %d: %s",
-				method, u, resp.StatusCode, strings.TrimSpace(string(body)))
+			return "", fmt.Errorf("formclient: GET %s: status %d: %s",
+				u, resp.StatusCode, strings.TrimSpace(string(body)))
 		}
 	}
 	return "", budgetErr

@@ -9,11 +9,9 @@ import (
 
 // BenchmarkExecuteIntersectBackends compares the posting backends head
 // to head at 10M tuples under exact counts (full-intersection mode,
-// where representation matters most): the sorted-slice reference, the
-// bitmap backend on the same two-predicate query, and the bitmap
-// backend with parallel intersection on a three-predicate query (the
-// shape that takes the parallel path). Skipped under -short; the
-// nightly workflow runs it at full size. This file is an external test
+// where representation matters most): the sorted-slice reference and
+// the bitmap backend on the same two-predicate query. Skipped under
+// -short; the nightly workflow runs it at full size. This file is an external test
 // package because datagen itself imports hiddendb.
 func BenchmarkExecuteIntersectBackends(b *testing.B) {
 	const n = 10_000_000
@@ -28,9 +26,6 @@ func BenchmarkExecuteIntersectBackends(b *testing.B) {
 		{"bitmap-10M",
 			hiddendb.Config{K: 100, CountMode: hiddendb.CountExact},
 			[]hiddendb.Predicate{{Attr: 0, Value: 0}, {Attr: 1, Value: 0}}},
-		{"bitmap-parallel-10M",
-			hiddendb.Config{K: 100, CountMode: hiddendb.CountExact, ParallelIntersect: true},
-			[]hiddendb.Predicate{{Attr: 0, Value: 0}, {Attr: 1, Value: 0}, {Attr: 2, Value: 0}}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

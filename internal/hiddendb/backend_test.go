@@ -108,8 +108,8 @@ func compareBackends(t *testing.T, want, got *DB, qs []Query, label string) {
 }
 
 // TestPostingBackendsAgree is the differential test: the bitmap backend
-// (with and without parallel intersection) must be indistinguishable
-// from the sorted-slice reference across modes and query shapes.
+// must be indistinguishable from the sorted-slice reference across modes
+// and query shapes.
 func TestPostingBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	schema := diffSchema(t)
@@ -133,83 +133,6 @@ func TestPostingBackendsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := New(schema, clone(), ranker, Config{K: 50, CountMode: mode, ParallelIntersect: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		compareBackends(t, sorted, bm, qs, "bitmap/"+mode.String())
-		compareBackends(t, sorted, par, qs, "parallel/"+mode.String())
-	}
-}
-
-// TestParallelIntersectPathTaken pins the parallel gate: with enough
-// tuples that the cheapest posting list crosses parallelMinSeedCard, a
-// three-predicate query must still agree with the serial backends. The
-// dataset is built so the three queried values each cover ≥ 2^16+ rank
-// positions.
-func TestParallelIntersectPathTaken(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large differential dataset")
-	}
-	schema := diffSchema(t)
-	const n = 160000
-	tuples := func() []Tuple {
-		out := make([]Tuple, n)
-		for i := range out {
-			// Attributes 0,1,2 all take value 0 on ~85% of tuples, so
-			// every posting list in the query has cardinality ≥ 2^16.
-			a, b, c := 0, 0, 0
-			if i%7 == 1 {
-				a = 1 + i%5
-			}
-			if i%6 == 2 {
-				b = 1 + i%2
-			}
-			if i%9 == 3 {
-				c = 1
-			}
-			out[i] = Tuple{Vals: []int{a, b, c, i % 5}}
-		}
-		return out
-	}
-	q := MustQuery(
-		Predicate{Attr: 0, Value: 0},
-		Predicate{Attr: 1, Value: 0},
-		Predicate{Attr: 2, Value: 0},
-	)
-	ranker := HashRanker{Seed: 3}
-	serial, err := New(schema, tuples(), ranker, Config{K: 100, CountMode: CountExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(schema, tuples(), ranker, Config{K: 100, CountMode: CountExact, ParallelIntersect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Confirm the gate's premise holds so the parallel branch is real.
-	for a := 0; a < 3; a++ {
-		if c := par.bitPostings[a][0].Cardinality(); c < parallelMinSeedCard {
-			t.Fatalf("attr %d posting cardinality %d below parallel threshold; test shape broken", a, c)
-		}
-	}
-	rs, err := serial.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := par.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Count != rs.Count || rp.Overflow != rs.Overflow || len(rp.Tuples) != len(rs.Tuples) {
-		t.Fatalf("parallel diverges: count %d/%d overflow %v/%v rows %d/%d",
-			rp.Count, rs.Count, rp.Overflow, rs.Overflow, len(rp.Tuples), len(rs.Tuples))
-	}
-	for i := range rs.Tuples {
-		if rp.Tuples[i].ID != rs.Tuples[i].ID {
-			t.Fatalf("parallel row %d: tuple %d, want %d", i, rp.Tuples[i].ID, rs.Tuples[i].ID)
-		}
-	}
-	if got, want := par.TrueCount(q), serial.TrueCount(q); got != want {
-		t.Fatalf("parallel TrueCount %d, want %d", got, want)
 	}
 }

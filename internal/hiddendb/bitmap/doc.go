@@ -25,8 +25,7 @@
 // write into a caller-owned destination Bitmap whose container storage
 // is recycled across calls (Reset keeps capacity), so a pooled
 // destination makes repeated intersections allocation-free at steady
-// state. ParallelIntersectInto splits the container key space across
-// workers for large multi-list intersections.
+// state.
 //
 // Rank/select are first-class: Select(i) returns the i-th smallest
 // value in O(#containers + 64), Rank(x) counts values below x, and

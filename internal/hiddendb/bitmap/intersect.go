@@ -1,9 +1,6 @@
 package bitmap
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // IntersectInto writes the intersection of srcs into dst and returns the
 // resulting cardinality. dst is Reset first and its container storage is
@@ -35,52 +32,6 @@ func IntersectInto(dst *Bitmap, srcs []*Bitmap, limit int, needAll bool) int {
 // intersection, as IntersectInto with needAll).
 func AndCardinality(dst *Bitmap, srcs []*Bitmap) int {
 	return IntersectInto(dst, srcs, 0, true)
-}
-
-// ParallelIntersectInto computes the full intersection of srcs into dst
-// with the seed bitmap's container key space split across workers —
-// the multi-predicate path for large posting lists, where each worker
-// owns a contiguous, disjoint slice of the 65536-key space and results
-// concatenate in key order. Unlike IntersectInto it always computes the
-// complete intersection, and the fan-out allocates per call; callers
-// gate it on predicate count and posting size.
-func ParallelIntersectInto(dst *Bitmap, srcs []*Bitmap, workers int) int {
-	dst.Reset()
-	orderByCard(srcs)
-	nc := len(srcs[0].cts)
-	if workers > nc {
-		workers = nc
-	}
-	if workers <= 1 {
-		cur := dst.cur[:0]
-		for range srcs {
-			cur = append(cur, 0)
-		}
-		dst.cur = cur
-		intersectSeedRange(dst, srcs, 0, nc, cur, 0, true)
-		return int(dst.card)
-	}
-	parts := make([]*Bitmap, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := nc*w/workers, nc*(w+1)/workers
-		part := New()
-		parts[w] = part
-		wg.Add(1)
-		go func(part *Bitmap, lo, hi int) {
-			defer wg.Done()
-			intersectSeedRange(part, srcs, lo, hi, make([]int, len(srcs)), 0, true)
-		}(part, lo, hi)
-	}
-	wg.Wait()
-	// Workers cover disjoint ascending key ranges: concatenation is the
-	// ordered merge. dst adopts the worker containers' storage.
-	for _, p := range parts {
-		dst.keys = append(dst.keys, p.keys...)
-		dst.cts = append(dst.cts, p.cts...)
-		dst.card += p.card
-	}
-	return int(dst.card)
 }
 
 // orderByCard sorts bitmaps by ascending cardinality in place. The list

@@ -185,25 +185,6 @@ func TestIntersectAllocFree(t *testing.T) {
 	}
 }
 
-func TestParallelIntersect(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		refs, bms := genSets(rng, 1<<22, 20000, 300000, 500000)
-		want := intersectRef(refs...)
-		dst := New()
-		got := ParallelIntersectInto(dst, bms, workers)
-		if got != len(want) {
-			t.Fatalf("workers=%d: cardinality %d, want %d", workers, got, len(want))
-		}
-		vals := collect(dst)
-		for i := range want {
-			if vals[i] != want[i] {
-				t.Fatalf("workers=%d: value[%d] = %d, want %d", workers, i, vals[i], want[i])
-			}
-		}
-	}
-}
-
 func TestOrAndNot(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for round := 0; round < 4; round++ {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,12 +91,6 @@ type Config struct {
 	// Postings selects the posting-list representation (default
 	// PostingsBitmap).
 	Postings PostingBackend
-	// ParallelIntersect enables splitting large multi-predicate bitmap
-	// intersections across GOMAXPROCS workers. Only queries with at
-	// least three predicates whose cheapest posting list still spans
-	// ≥65536 rank positions take the parallel path; everything else
-	// stays on the serial early-exit kernel. Ignored by PostingsSorted.
-	ParallelIntersect bool
 }
 
 // ErrBudgetExhausted is returned once a DB's QueryBudget is spent.
@@ -411,12 +404,6 @@ func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
 	return out, total
 }
 
-// parallelMinSeedCard is the cheapest-posting-list cardinality below
-// which ParallelIntersect stays serial: splitting fewer than one
-// container's worth of seed values per worker costs more in fan-out than
-// the word kernels save.
-const parallelMinSeedCard = 1 << 16
-
 // matchBitmap is matchPositions for the bitmap backend: it intersects
 // the query's posting bitmaps into sc.res, seeded from the
 // lowest-cardinality predicate, and materializes the first limit rank
@@ -433,7 +420,6 @@ func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) 
 		return db.matchAll(sc, limit)
 	}
 	views := sc.views[:0]
-	minCard := -1
 	for i := 0; i < d; i++ {
 		p := q.Pred(i)
 		pb := db.bitPostings[p.Attr][p.Value]
@@ -443,22 +429,14 @@ func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) 
 			sc.out = sc.out[:0]
 			return sc.out, 0
 		}
-		if c := pb.Cardinality(); minCard < 0 || c < minCard {
-			minCard = c
-		}
 		views = append(views, pb)
 	}
 	sc.views = views
 	if d == 1 {
 		return db.materialize(sc, views[0], limit, views[0].Cardinality())
 	}
-	res := sc.res
-	if db.cfg.ParallelIntersect && d >= 3 && minCard >= parallelMinSeedCard {
-		total = bitmap.ParallelIntersectInto(res, views, runtime.GOMAXPROCS(0))
-	} else {
-		total = bitmap.IntersectInto(res, views, limit, needTotal)
-	}
-	return db.materialize(sc, res, limit, total)
+	total = bitmap.IntersectInto(sc.res, views, limit, needTotal)
+	return db.materialize(sc, sc.res, limit, total)
 }
 
 // materialize copies the first limit values of b into sc.out as rank

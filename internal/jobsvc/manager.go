@@ -39,8 +39,7 @@ type Config struct {
 	MaxConcurrent int
 	// HostRatePerSec is the per-host politeness budget: all jobs hitting
 	// one host together issue at most this many real wire requests per
-	// second (a batch request counts once — that is the batching win).
-	// 0 disables throttling.
+	// second. 0 disables throttling.
 	HostRatePerSec float64
 	// HostBurst is the politeness token bucket capacity (default 10).
 	HostBurst int
@@ -49,13 +48,6 @@ type Config struct {
 	// and multiplicatively cut on 429 pushback. 0 disables concurrency
 	// limiting.
 	HostMaxInFlight int
-	// BatchLinger, when positive, lets concurrent distinct queries from
-	// all jobs on one API target share batch wire requests packed within
-	// this window (POST /api/search/batch; one rate-limit charge per
-	// batch). HTML targets fall back to sequential execution.
-	BatchLinger time.Duration
-	// BatchMax bounds queries per batch wire request (default 16).
-	BatchMax int
 	// CacheMaxEntries caps each shared per-host history cache
 	// (0 = unlimited).
 	CacheMaxEntries int
@@ -182,14 +174,14 @@ type hostEntry struct {
 
 // target is one (connector kind, base URL) stack below the caches: the
 // raw formclient conn (optionally wrapped in the configured fault
-// profile) wrapped in the shared execution layer (coalescing, batching,
-// host-wide admission control). Caches are split by TrustCounts because
-// trusted and untrusted inference disagree.
+// profile) wrapped in the shared execution layer (coalescing, host-wide
+// admission control, transient retry). Caches are split by TrustCounts
+// because trusted and untrusted inference disagree.
 type target struct {
 	key    string // connector + "|" + URL, the checkpoint identity
 	conn   formclient.Conn
 	exec   *queryexec.Executor
-	fault  faultform.Faulty // nil without a fault profile
+	fault  *faultform.Conn // nil without a fault profile
 	caches map[bool]*history.Cache
 }
 
@@ -529,8 +521,8 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 }
 
 // connFor assembles the job's connector stack: base conn (shared per
-// target URL) → shared execution layer (coalescing, micro-batching,
-// host-wide AIMD admission) → shared history cache (unless opted out) →
+// target URL) → shared execution layer (coalescing, host-wide AIMD
+// admission, transient retry) → shared history cache (unless opted out) →
 // per-job query budget. A cache created here is warm-started from its
 // HistoryDir checkpoint, when one exists.
 func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.Cache) {
@@ -546,7 +538,7 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.C
 		} else {
 			base = formclient.NewHTTP(spec.URL, opts)
 		}
-		var fault faultform.Faulty
+		var fault *faultform.Conn
 		if prof, ok := faultProfile(cfg); ok {
 			// Chaos mode: the adversarial wrapper plays the misbehaving
 			// site, below the execution layer, so the AIMD limiter and the
@@ -556,8 +548,6 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.C
 			base = fault
 		}
 		exec := queryexec.New(base, queryexec.Options{
-			BatchLinger: cfg.BatchLinger,
-			MaxBatch:    cfg.BatchMax,
 			Limiter:     he.limiter,
 			Wire:        he.wire,
 			ExecLatency: he.execH,
@@ -984,8 +974,10 @@ func (j *job) sampleSet(schema *hdsampler.Schema, samples []hdsampler.Sample, c 
 	return store.New(j.spec.URL, j.spec.Method, c, schema, tuples, reaches, queries)
 }
 
-// finish records the terminal state, checkpoints the sample set and
-// journals the terminal transition.
+// finish checkpoints the sample set, records the terminal state and
+// journals the terminal transition. The checkpoint is written before the
+// terminal state is published, so a view that reads a terminal state
+// already carries the checkpoint pointer.
 func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, err error) {
 	j.mu.Lock()
 	if j.cache != nil {
@@ -1007,6 +999,23 @@ func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, er
 			}
 		}
 	}
+	id := j.id
+	j.mu.Unlock()
+
+	var path string
+	var perr error
+	if m.cfg.DataDir != "" && set != nil {
+		path = filepath.Join(m.cfg.DataDir, id+".json")
+		perr = os.MkdirAll(m.cfg.DataDir, 0o755)
+		if perr == nil {
+			perr = store.SaveFile(path, set)
+		}
+		if perr != nil {
+			m.lg.Warn("sample checkpoint failed", "job", id, "path", path, "error", perr)
+		}
+	}
+
+	j.mu.Lock()
 	j.finished = time.Now().UTC()
 	j.finalStats = stats
 	j.set = set
@@ -1022,33 +1031,23 @@ func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, er
 		j.state = StateCompleted
 	}
 	j.err = err
-	// Release the replica machinery: terminal views read finalStats and
-	// j.set, and a long-running daemon must not retain every finished
-	// job's samplers, pipelines and duplicate sample slices.
-	j.rs = nil
-	j.crawler = nil
-	id := j.id
-	j.mu.Unlock()
-
-	if m.cfg.DataDir != "" && set != nil {
-		path := filepath.Join(m.cfg.DataDir, id+".json")
-		perr := os.MkdirAll(m.cfg.DataDir, 0o755)
-		if perr == nil {
-			perr = store.SaveFile(path, set)
-		}
-		j.mu.Lock()
+	if path != "" {
 		if perr != nil {
 			// Keep the terminal state but surface the broken durability on
 			// the view and in the daemon log.
-			m.lg.Warn("sample checkpoint failed", "job", id, "path", path, "error", perr)
 			if j.err == nil {
 				j.err = fmt.Errorf("checkpoint: %w", perr)
 			}
 		} else {
 			j.checkpoint = path
 		}
-		j.mu.Unlock()
 	}
+	// Release the replica machinery: terminal views read finalStats and
+	// j.set, and a long-running daemon must not retain every finished
+	// job's samplers, pipelines and duplicate sample slices.
+	j.rs = nil
+	j.crawler = nil
+	j.mu.Unlock()
 
 	// Journal the terminal transition (after persisting, so the record
 	// carries the checkpoint pointer). The journal mutex is a leaf: never
@@ -1243,15 +1242,11 @@ type HostStats struct {
 	Entries   int   `json:"entries"`
 	Protected int   `json:"protected"`
 	Throttled int64 `json:"throttled"`
-	// Coalesced / Batched / BatchRequests / WireCalls sum the host's
-	// execution-layer savings: queries answered by joining identical
-	// in-flight queries, queries shipped inside shared batch requests,
-	// the batch wire requests themselves, and total wire executions.
-	// TransientRetries counts wire executions the layer repeated after
-	// transient interface faults.
+	// Coalesced / WireCalls sum the host's execution-layer work: queries
+	// answered by joining identical in-flight queries, and total wire
+	// executions. TransientRetries counts wire executions the layer
+	// repeated after transient interface faults.
 	Coalesced        int64 `json:"coalesced"`
-	Batched          int64 `json:"batched"`
-	BatchRequests    int64 `json:"batch_requests"`
 	WireCalls        int64 `json:"wire_calls"`
 	TransientRetries int64 `json:"transient_retries"`
 	// Faults sums the misbehaviour the configured fault profile injected
@@ -1295,8 +1290,6 @@ func (m *Manager) Hosts() []HostStats {
 		for _, tg := range he.targets {
 			xs := tg.exec.ExecStats()
 			hs.Coalesced += xs.Coalesced
-			hs.Batched += xs.Batched
-			hs.BatchRequests += xs.BatchRequests
 			hs.WireCalls += xs.WireCalls
 			hs.TransientRetries += xs.TransientRetries
 			if tg.fault != nil {

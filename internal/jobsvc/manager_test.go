@@ -271,17 +271,13 @@ func TestPolitenessThrottleCounts(t *testing.T) {
 	}
 }
 
-// TestExecLayerBatchesAcrossWorkers drives a replica pool through the
-// daemon's shared execution layer with micro-batching on: the host's
-// wire bill must come in under the workers' logical query bill, and the
-// exec counters must show why.
-func TestExecLayerBatchesAcrossWorkers(t *testing.T) {
+// TestExecLayerSharedAcrossWorkers drives a replica pool through the
+// daemon's shared execution layer: the host's traffic goes through it,
+// its AIMD window stays within the configured ceiling, and every
+// admission slot is released once the job ends.
+func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 	_, srv := newTarget(t, 1500, 200, hiddendb.CountNone)
-	m := newTestManager(t, srv, Config{
-		BatchLinger:     2 * time.Millisecond,
-		BatchMax:        16,
-		HostMaxInFlight: 8,
-	})
+	m := newTestManager(t, srv, Config{HostMaxInFlight: 8})
 	v, err := m.Submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 48, Workers: 8, Seed: 9, NoHistory: true})
 	if err != nil {
 		t.Fatal(err)
@@ -295,18 +291,15 @@ func TestExecLayerBatchesAcrossWorkers(t *testing.T) {
 		t.Fatalf("hosts = %d", len(hosts))
 	}
 	hs := hosts[0]
-	if hs.Coalesced+hs.Batched == 0 {
+	if hs.WireCalls == 0 {
 		t.Fatalf("execution layer idle: %+v", hs)
-	}
-	if hs.WireCalls == 0 || hs.WireCalls >= v.Queries {
-		t.Fatalf("wire calls = %d for %d logical queries; no amortization", hs.WireCalls, v.Queries)
 	}
 	if hs.Limit <= 0 || hs.Limit > 8 {
 		t.Fatalf("AIMD window = %g, want in (0, 8]", hs.Limit)
 	}
-	// A straggler batch flush may still be draining right after the job
-	// turns terminal (abandoned waiters do not cancel the shared flush);
-	// the gauge must settle to zero, not leak slots.
+	// A cancelled worker's wire call may still be unwinding right after
+	// the job turns terminal; the gauge must settle to zero, not leak
+	// slots.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if inFlight := m.Hosts()[0].InFlight; inFlight == 0 {

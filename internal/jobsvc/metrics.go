@@ -78,11 +78,7 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return float64(h.Throttled) })
 	perHost("hdsamplerd_host_exec_coalesced_total", "Queries answered by joining an identical in-flight query.", true,
 		func(h HostStats) float64 { return float64(h.Coalesced) })
-	perHost("hdsamplerd_host_exec_batched_total", "Queries shipped inside shared batch wire requests.", true,
-		func(h HostStats) float64 { return float64(h.Batched) })
-	perHost("hdsamplerd_host_exec_batch_requests_total", "Batch wire requests issued (each carries several queries under one rate-limit charge).", true,
-		func(h HostStats) float64 { return float64(h.BatchRequests) })
-	perHost("hdsamplerd_host_exec_wire_calls_total", "Wire executions (single-query requests plus batch requests).", true,
+	perHost("hdsamplerd_host_exec_wire_calls_total", "Wire executions (one per uncoalesced query, plus transient retries).", true,
 		func(h HostStats) float64 { return float64(h.WireCalls) })
 	perHost("hdsamplerd_host_exec_in_flight", "Wire requests currently running against each host.", false,
 		func(h HostStats) float64 { return float64(h.InFlight) })
@@ -135,7 +131,7 @@ func (m *Manager) registerMetrics() {
 	m.wireHist = r.HistogramVec("hdsamplerd_host_wire_rtt_seconds",
 		"Wire round-trip latency of real interface requests, per host.", "host")
 	m.execHist = r.HistogramVec("hdsamplerd_host_exec_latency_seconds",
-		"Execution-layer latency per query (coalesced and batched waits included), per host.", "host")
+		"Execution-layer latency per query (coalesced waits included), per host.", "host")
 	m.cacheHist = r.HistogramVec("hdsamplerd_host_cache_lookup_seconds",
 		"History-cache lookup latency on traced walks, per host.", "host")
 	m.walkHist = r.HistogramVec("hdsamplerd_walk_duration_seconds",

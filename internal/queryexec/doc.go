@@ -7,19 +7,17 @@
 //
 //   - Single-flight coalescing: identical in-flight queries (keyed like
 //     the history cache, on the canonical Query.Key) collapse into one
-//     wire request whose answer fans out to every waiter.
-//   - Micro-batching: a small linger window packs concurrent *distinct*
-//     queries into one batch wire request when the connector supports it
-//     (formclient.API against webform's POST /api/search/batch). The
-//     server executes the whole batch under a single rate-limit charge,
-//     so a batch of b queries costs 1/b of the politeness budget each.
-//     Connectors without batch support (HTML scraping) fall back to
-//     sequential per-query execution — coalescing and limiting still
-//     apply.
+//     wire request whose answer fans out to every waiter. The leader
+//     executes on its caller's goroutine; every other query is sent
+//     alone, one wire request each, the way a web form answers them.
 //   - An AIMD adaptive concurrency limiter shared per host: additive
 //     increase on clean responses, multiplicative decrease on 429
 //     pushback, plus an aggregate rate meter. This replaces the fixed
 //     per-goroutine politeness sleep, which never bounded the *aggregate*
 //     rate (N replicas each sleeping independently still hit the site at
 //     N times the configured pace).
+//   - Bounded transient retry: a wire execution failing with
+//     formclient.ErrTransient (a 5xx blip, a timed-out request) is
+//     repeated a few times before the error reaches the leader and every
+//     follower coalesced onto its flight.
 package queryexec

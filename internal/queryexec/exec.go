@@ -3,7 +3,6 @@ package queryexec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,22 +12,8 @@ import (
 	"hdsampler/internal/telemetry"
 )
 
-// BatchExecer is the optional connector capability micro-batching needs:
-// answering several conjunctive queries in one wire request.
-type BatchExecer interface {
-	// ExecuteBatch answers qs in order, one result per query.
-	ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
-}
-
 // Options tunes an Executor.
 type Options struct {
-	// BatchLinger, when positive, holds each wire-bound query up to this
-	// long so concurrent distinct queries can share one batch request.
-	// Ignored when the wrapped connector is not a BatchExecer.
-	BatchLinger time.Duration
-	// MaxBatch bounds the queries packed into one batch request (default
-	// 16); a full batch flushes immediately, before the linger expires.
-	MaxBatch int
 	// Limiter is the shared per-host admission controller; nil runs
 	// unlimited.
 	Limiter *Limiter
@@ -41,11 +26,11 @@ type Options struct {
 	// Sleep paces transient-retry backoff, overridable by tests; defaults
 	// to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Wire, when set, observes every wire round trip (single-query and
-	// batch requests alike); ExecLatency, when set, observes every logical
-	// Execute through the layer, including coalescing and linger waits.
-	// Wire calls are rare and slow relative to a clock read, so these stay
-	// on for all traffic; leave nil to skip the timing entirely.
+	// Wire, when set, observes every wire round trip; ExecLatency, when
+	// set, observes every logical Execute through the layer, including
+	// coalescing waits. Wire calls are rare and slow relative to a clock
+	// read, so these stay on for all traffic; leave nil to skip the timing
+	// entirely.
 	Wire        *telemetry.Histogram
 	ExecLatency *telemetry.Histogram
 }
@@ -57,12 +42,7 @@ type Stats struct {
 	// Coalesced counts queries answered by joining an identical in-flight
 	// query instead of issuing their own wire request.
 	Coalesced int64
-	// Batched counts queries shipped inside a multi-query batch request;
-	// BatchRequests counts those wire requests.
-	Batched       int64
-	BatchRequests int64
-	// WireCalls counts wire executions: single-query requests plus batch
-	// requests (each batch is one).
+	// WireCalls counts wire executions, transient retries included.
 	WireCalls int64
 	// TransientRetries counts wire executions repeated after a transient
 	// interface fault (formclient.ErrTransient).
@@ -76,20 +56,15 @@ type Stats struct {
 //	sampler → history.Cache → queryexec.Executor → formclient.{API,HTTP}
 type Executor struct {
 	inner formclient.Conn
-	batch BatchExecer // nil disables micro-batching
 	opts  Options
 
-	mu      sync.Mutex
-	calls   map[uint64]*call // keyed by query signature hash; chained on collision
-	pending []*pendingQuery
-	timer   *time.Timer
+	mu    sync.Mutex
+	calls map[uint64]*call // keyed by query signature hash; chained on collision
 
 	lastRetries atomic.Int64
 
 	queries    atomic.Int64
 	coalesced  atomic.Int64
-	batched    atomic.Int64
-	batchReqs  atomic.Int64
 	wire       atomic.Int64
 	transients atomic.Int64
 }
@@ -143,50 +118,8 @@ func removeCall(calls map[uint64]*call, hash uint64, c *call) {
 	}
 }
 
-// wireMarks accumulates a traced query's execution-layer outcome
-// (exec path, transient retries, AIMD window at send time) for later
-// application to its walk trace. The flush goroutine must never touch
-// the trace itself — a cancelled enqueuer walks away mid-flight and
-// keeps using its trace — so marks are staged here and applied by the
-// goroutine that owns the trace.
-type wireMarks struct {
-	exec    telemetry.ExecOutcome
-	retries int
-	aimd    float64
-}
-
-// apply transfers the staged marks onto the owning walk's trace.
-func (m *wireMarks) apply(tr *telemetry.WalkTrace) {
-	if m.exec != telemetry.ExecNone {
-		tr.MarkExec(m.exec)
-	}
-	if m.aimd != 0 {
-		tr.SetAIMDLimit(m.aimd)
-	}
-	for i := 0; i < m.retries; i++ {
-		tr.AddRetry()
-	}
-}
-
-// pendingQuery is one query waiting in the linger window. traced asks
-// the flush goroutine to stage wireMarks; the enqueuer applies them to
-// its trace after the done channel closes (and never reads them when it
-// abandons the wait on cancellation).
-type pendingQuery struct {
-	q      hiddendb.Query
-	traced bool
-	marks  wireMarks
-	res    *hiddendb.Result
-	err    error
-	done   chan struct{}
-}
-
-// New wraps inner with the execution layer. Micro-batching engages only
-// when opts.BatchLinger > 0 and inner implements BatchExecer.
+// New wraps inner with the execution layer.
 func New(inner formclient.Conn, opts Options) *Executor {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 16
-	}
 	if opts.TransientRetries == 0 {
 		opts.TransientRetries = 2
 	} else if opts.TransientRetries < 0 {
@@ -199,11 +132,6 @@ func New(inner formclient.Conn, opts Options) *Executor {
 	// Snapshot the connector's retry counter: pre-existing 429 history on
 	// a reused connector is not congestion this executor caused.
 	x.lastRetries.Store(inner.Stats().RateLimitRetries)
-	if opts.BatchLinger > 0 {
-		if be, ok := inner.(BatchExecer); ok {
-			x.batch = be
-		}
-	}
 	return x
 }
 
@@ -217,13 +145,11 @@ func (x *Executor) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 // true query costs. The layer's own effect is in ExecStats.
 func (x *Executor) Stats() formclient.Stats { return x.inner.Stats() }
 
-// ExecStats returns the layer's coalescing/batching counters.
+// ExecStats returns the layer's coalescing, wire and retry counters.
 func (x *Executor) ExecStats() Stats {
 	return Stats{
 		Queries:          x.queries.Load(),
 		Coalesced:        x.coalesced.Load(),
-		Batched:          x.batched.Load(),
-		BatchRequests:    x.batchReqs.Load(),
 		WireCalls:        x.wire.Load(),
 		TransientRetries: x.transients.Load(),
 	}
@@ -233,12 +159,11 @@ func (x *Executor) ExecStats() Stats {
 func (x *Executor) Limiter() *Limiter { return x.opts.Limiter }
 
 // Execute implements formclient.Conn with single-flight semantics: the
-// first caller of a canonical query becomes its leader and executes (via
-// the batcher when enabled); callers arriving while it is in flight wait
-// and share the answer. Flights are keyed by the query's precomputed
-// signature hash (full-key verified), and followers share the leader's
-// Result outright — Results are immutable by convention, so fan-out costs
-// no deep copies.
+// first caller of a canonical query becomes its leader and executes it on
+// its own goroutine; callers arriving while it is in flight wait and share
+// the answer. Flights are keyed by the query's precomputed signature hash
+// (full-key verified), and followers share the leader's Result outright —
+// Results are immutable by convention, so fan-out costs no deep copies.
 //
 //hdlint:hotpath
 func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
@@ -289,7 +214,7 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 		x.calls[hash] = c
 		x.mu.Unlock()
 
-		res, err := x.execLeader(ctx, q, tr)
+		res, err := x.execDirect(ctx, q, tr)
 
 		x.mu.Lock()
 		removeCall(x.calls, hash, c)
@@ -303,37 +228,23 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 	}
 }
 
-// execLeader performs the wire-bound execution for a single-flight leader.
-func (x *Executor) execLeader(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
-	if x.batch == nil {
-		var m *wireMarks
-		if tr != nil {
-			m = &wireMarks{}
-		}
-		res, err := x.execDirect(ctx, q, m)
-		if tr != nil {
-			m.apply(tr)
-		}
-		return res, err
-	}
-	return x.enqueue(ctx, q, tr)
-}
-
 // execDirect issues one single-query wire request under the limiter,
 // retrying transient interface faults within the configured budget. The
 // admission slot is held only for the wire call itself — a backoff sleep
-// must not starve other queries of the window.
-func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, m *wireMarks) (*hiddendb.Result, error) {
+// must not starve other queries of the window. tr is the leader's walk
+// trace (nil when untraced); the leader runs on its caller's goroutine, so
+// the marks go straight onto it.
+func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := x.opts.Limiter.Acquire(ctx); err != nil {
 			return nil, err
 		}
-		if m != nil {
+		if tr != nil {
 			// Traced walks record the AIMD window as seen at send time; the
 			// Limit read takes the limiter mutex, so it stays off the
 			// untraced path.
-			m.exec = telemetry.ExecWire
-			m.aimd = x.opts.Limiter.Limit()
+			tr.MarkExec(telemetry.ExecWire)
+			tr.SetAIMDLimit(x.opts.Limiter.Limit())
 		}
 		var start time.Time
 		if x.opts.Wire != nil {
@@ -349,8 +260,8 @@ func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, m *wireMark
 			return res, err
 		}
 		x.transients.Add(1)
-		if m != nil {
-			m.retries++
+		if tr != nil {
+			tr.AddRetry()
 		}
 		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
 			return nil, serr
@@ -386,147 +297,6 @@ func (x *Executor) clean(err error) bool {
 		return false
 	}
 	return retries <= prev
-}
-
-// enqueue parks a query in the linger window and waits for its flush.
-func (x *Executor) enqueue(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
-	p := &pendingQuery{q: q, traced: tr != nil, done: make(chan struct{})}
-	x.mu.Lock()
-	x.pending = append(x.pending, p)
-	var full []*pendingQuery
-	if len(x.pending) >= x.opts.MaxBatch {
-		full = x.takeLocked()
-	} else if len(x.pending) == 1 {
-		// The flush must not die with the first enqueuer: it answers every
-		// query the window accretes, so it detaches from that caller's
-		// cancellation (waiters still honor their own contexts below).
-		fctx := context.WithoutCancel(ctx)
-		x.timer = time.AfterFunc(x.opts.BatchLinger, func() { x.flush(fctx) })
-	}
-	x.mu.Unlock()
-	if full != nil {
-		x.run(context.WithoutCancel(ctx), full)
-	}
-	select {
-	case <-p.done:
-		if tr != nil {
-			p.marks.apply(tr)
-		}
-		return p.res, p.err
-	case <-ctx.Done():
-		// Abandoned: the flush goroutine may still be staging marks into
-		// p, so the trace takes none of them.
-		return nil, ctx.Err()
-	}
-}
-
-// takeLocked claims the pending window and disarms its timer; the caller
-// holds x.mu.
-func (x *Executor) takeLocked() []*pendingQuery {
-	batch := x.pending
-	x.pending = nil
-	if x.timer != nil {
-		x.timer.Stop()
-		x.timer = nil
-	}
-	return batch
-}
-
-// flush executes whatever the linger window holds (the timer path).
-func (x *Executor) flush(ctx context.Context) {
-	x.mu.Lock()
-	batch := x.takeLocked()
-	x.mu.Unlock()
-	if len(batch) > 0 {
-		x.run(ctx, batch)
-	}
-}
-
-// run executes one claimed batch: a lone query goes out as a plain
-// request; two or more share one batch wire request and one rate-limit
-// charge. A failed batch falls back to unbatched execution — one query's
-// problem (a server-side budget, a validation error) must not abort its
-// batchmates' unrelated walks.
-func (x *Executor) run(ctx context.Context, batch []*pendingQuery) {
-	if len(batch) == 1 {
-		p := batch[0]
-		p.res, p.err = x.execDirect(ctx, p.q, p.marksIfTraced())
-		close(p.done)
-		return
-	}
-	qs := make([]hiddendb.Query, len(batch))
-	for i, p := range batch {
-		qs[i] = p.q
-	}
-	var results []*hiddendb.Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = x.opts.Limiter.Acquire(ctx)
-		if err != nil {
-			break
-		}
-		limit := -1.0 // Limit() takes the limiter mutex: read once, only if traced
-		for _, p := range batch {
-			if !p.traced {
-				continue
-			}
-			if limit < 0 {
-				limit = x.opts.Limiter.Limit()
-			}
-			p.marks.aimd = limit
-		}
-		var start time.Time
-		if x.opts.Wire != nil {
-			start = time.Now()
-		}
-		results, err = x.batch.ExecuteBatch(ctx, qs)
-		if x.opts.Wire != nil {
-			x.opts.Wire.Observe(time.Since(start))
-		}
-		x.wire.Add(1)
-		x.batchReqs.Add(1)
-		x.opts.Limiter.Release(x.clean(err))
-		if err == nil && len(results) != len(batch) {
-			err = fmt.Errorf("queryexec: batch answered %d of %d queries", len(results), len(batch))
-		}
-		// A transient fault fails the whole batch wire request; retry it as
-		// a unit before falling back to per-query execution, so one blip
-		// does not cost a full batch's worth of unbatched wire calls.
-		if !x.retryable(ctx, err, attempt) {
-			break
-		}
-		x.transients.Add(1)
-		for _, p := range batch {
-			if p.traced {
-				p.marks.retries++
-			}
-		}
-		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
-			err = serr
-			break
-		}
-	}
-	for i, p := range batch {
-		if err != nil {
-			p.res, p.err = x.execDirect(ctx, p.q, p.marksIfTraced())
-		} else {
-			p.res = results[i]
-			if p.traced {
-				p.marks.exec = telemetry.ExecBatched
-			}
-			x.batched.Add(1)
-		}
-		close(p.done)
-	}
-}
-
-// marksIfTraced returns the staging area for a traced pending query, nil
-// otherwise.
-func (p *pendingQuery) marksIfTraced() *wireMarks {
-	if !p.traced {
-		return nil
-	}
-	return &p.marks
 }
 
 var _ formclient.Conn = (*Executor)(nil)

@@ -132,142 +132,6 @@ func TestCoalesceDistinctKeysDoNotShare(t *testing.T) {
 	}
 }
 
-func TestBatchingPacksDistinctQueries(t *testing.T) {
-	db := testDB(t, 500)
-	inner := formclient.NewLocal(db)
-	x := New(inner, Options{BatchLinger: 10 * time.Millisecond, MaxBatch: 8})
-	ctx := context.Background()
-
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	results := make([]*hiddendb.Result, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			results[i], errs[i] = x.Execute(ctx, q)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		want, err := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results[i].Tuples) != len(want.Tuples) {
-			t.Fatalf("worker %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
-		}
-	}
-	st := x.ExecStats()
-	if st.Batched == 0 || st.BatchRequests == 0 {
-		t.Fatalf("nothing batched: %+v", st)
-	}
-	if st.WireCalls >= workers {
-		t.Fatalf("wire calls = %d for %d distinct concurrent queries; batching saved nothing", st.WireCalls, workers)
-	}
-	if inner.BatchCalls() != st.BatchRequests {
-		t.Fatalf("connector saw %d batch calls, executor reports %d", inner.BatchCalls(), st.BatchRequests)
-	}
-}
-
-func TestBatchFullWindowFlushesEarly(t *testing.T) {
-	db := testDB(t, 200)
-	inner := formclient.NewLocal(db)
-	// An hour-long linger: only the size trigger can flush.
-	x := New(inner, Options{BatchLinger: time.Hour, MaxBatch: 2})
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			if _, err := x.Execute(ctx, q); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("full batch never flushed before the linger deadline")
-	}
-	if st := x.ExecStats(); st.BatchRequests != 1 || st.Batched != 2 {
-		t.Fatalf("stats = %+v, want one batch of two", st)
-	}
-}
-
-func TestBatchSingletonGoesDirect(t *testing.T) {
-	db := testDB(t, 200)
-	inner := formclient.NewLocal(db)
-	x := New(inner, Options{BatchLinger: time.Millisecond, MaxBatch: 8})
-	if _, err := x.Execute(context.Background(), hiddendb.EmptyQuery()); err != nil {
-		t.Fatal(err)
-	}
-	st := x.ExecStats()
-	if st.BatchRequests != 0 || st.Batched != 0 {
-		t.Fatalf("lone query went through the batch endpoint: %+v", st)
-	}
-	if inner.BatchCalls() != 0 {
-		t.Fatal("connector saw a batch call for a lone query")
-	}
-}
-
-// brokenBatchConn answers single queries but fails every batch request —
-// the shape of a server-side batch rejection.
-type brokenBatchConn struct {
-	*formclient.Local
-	batchCalls atomic.Int64
-}
-
-func (b *brokenBatchConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
-	b.batchCalls.Add(1)
-	return nil, errors.New("batch endpoint down")
-}
-
-// TestBatchFailureFallsBackUnbatched: one query's server-side problem
-// must not abort its batchmates — the executor retries each member
-// individually.
-func TestBatchFailureFallsBackUnbatched(t *testing.T) {
-	db := testDB(t, 300)
-	inner := &brokenBatchConn{Local: formclient.NewLocal(db)}
-	x := New(inner, Options{BatchLinger: 10 * time.Millisecond, MaxBatch: 8})
-	ctx := context.Background()
-	const workers = 5
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			res, err := x.Execute(ctx, q)
-			if err != nil {
-				t.Errorf("worker %d failed despite unbatched fallback: %v", i, err)
-				return
-			}
-			want, _ := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i}))
-			if len(res.Tuples) != len(want.Tuples) {
-				t.Errorf("worker %d: %d tuples, want %d", i, len(res.Tuples), len(want.Tuples))
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := x.ExecStats()
-	if st.Batched != 0 {
-		t.Fatalf("failed batches reported %d batched queries", st.Batched)
-	}
-	if inner.batchCalls.Load() > 0 && st.WireCalls <= st.BatchRequests {
-		t.Fatalf("no unbatched retries recorded: %+v", st)
-	}
-}
-
 // errConn fails every execute with a caller-chosen error.
 type errConn struct {
 	schema *hiddendb.Schema

@@ -94,65 +94,3 @@ func TestTransientRetryDisabled(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTransient with retries disabled", err)
 	}
 }
-
-// blippyBatchConn blips whole batch requests before letting them through,
-// exercising the batch-as-a-unit retry.
-type blippyBatchConn struct {
-	*blippyConn
-	batchFails atomic.Int64
-	maxFails   int64
-	batches    atomic.Int64
-}
-
-func (b *blippyBatchConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
-	if b.batchFails.Add(1) <= b.maxFails {
-		return nil, fmt.Errorf("%w: batch blip", formclient.ErrTransient)
-	}
-	b.batches.Add(1)
-	return b.Local.ExecuteBatch(ctx, qs)
-}
-
-func TestBatchTransientRetryBeforeFallback(t *testing.T) {
-	db := testDB(t, 300)
-	inner := &blippyBatchConn{blippyConn: newBlippy(db, 0), maxFails: 1}
-	x := New(inner, Options{
-		BatchLinger: 5 * time.Millisecond, MaxBatch: 4,
-		TransientRetries: 2, Sleep: noSleep,
-	})
-	ctx := context.Background()
-
-	qs := []hiddendb.Query{
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 0}),
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1}),
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2}),
-		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 3}),
-	}
-	errs := make([]error, len(qs))
-	done := make(chan struct{})
-	for i, q := range qs {
-		go func(i int, q hiddendb.Query) {
-			_, errs[i] = x.Execute(ctx, q)
-			done <- struct{}{}
-		}(i, q)
-	}
-	for range qs {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	st := x.ExecStats()
-	// The first batch wire request blipped; the retry succeeded as a
-	// batch — queries must NOT have fallen back to unbatched execution.
-	if st.Batched != int64(len(qs)) {
-		t.Fatalf("Batched = %d, want %d (no unbatched fallback)", st.Batched, len(qs))
-	}
-	if st.BatchRequests != 2 {
-		t.Fatalf("BatchRequests = %d, want 2 (original + retry)", st.BatchRequests)
-	}
-	if st.TransientRetries != 1 {
-		t.Fatalf("TransientRetries = %d, want 1", st.TransientRetries)
-	}
-}

@@ -8,12 +8,12 @@
 // rounded counts into the interface).
 //
 // Every cell runs the full production stack — replica pipelines over a
-// shared history cache over the query-execution layer (coalescing,
-// micro-batching, AIMD admission, transient retry) over the faulted
-// connector — so the matrix exercises exactly the code paths a live
-// deployment uses. Bias is gated only on fault-free cells: content faults
-// (jitter, reordering) legitimately change the reachable distribution;
-// there the matrix asserts liveness and records the drift.
+// shared history cache over the query-execution layer (coalescing, AIMD
+// admission, transient retry) over the faulted connector — so the matrix
+// exercises exactly the code paths a live deployment uses. Bias is gated
+// only on fault-free cells: content faults (jitter, reordering)
+// legitimately change the reachable distribution; there the matrix
+// asserts liveness and records the drift.
 //
 // cmd/hdbench exposes the matrix as `hdbench -matrix`, emitting the
 // machine-readable Report; CI runs it nightly as the bias-regression

@@ -126,7 +126,6 @@ type CellResult struct {
 	Queries          int64   `json:"queries"`
 	QueriesSaved     int64   `json:"queries_saved"`
 	QueriesCoalesced int64   `json:"queries_coalesced"`
-	QueriesBatched   int64   `json:"queries_batched"`
 	QueriesRetried   int64   `json:"queries_retried"`
 	QueriesPerSample float64 `json:"queries_per_sample"`
 
@@ -309,8 +308,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 		K:          p.ds.K,
 		UseHistory: true,
 		Exec: hdsampler.ExecConfig{
-			BatchLinger:      200 * time.Microsecond,
-			MaxBatch:         8,
 			MaxInFlight:      8,
 			TransientRetries: 3,
 		},
@@ -326,7 +323,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 	cell.Queries = stats.Queries
 	cell.QueriesSaved = stats.QueriesSaved
 	cell.QueriesCoalesced = stats.QueriesCoalesced
-	cell.QueriesBatched = stats.QueriesBatched
 	cell.QueriesRetried = stats.QueriesRetried
 	if len(tuples) > 0 {
 		cell.QueriesPerSample = float64(stats.Queries) / float64(len(tuples))

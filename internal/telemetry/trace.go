@@ -44,7 +44,6 @@ const (
 	ExecNone      ExecOutcome = iota // no execution layer, or not recorded
 	ExecWire                         // a wire call of its own
 	ExecCoalesced                    // rode an identical in-flight call
-	ExecBatched                      // shared a multi-query wire request
 )
 
 func (o ExecOutcome) String() string {
@@ -53,8 +52,6 @@ func (o ExecOutcome) String() string {
 		return "wire"
 	case ExecCoalesced:
 		return "coalesced"
-	case ExecBatched:
-		return "batched"
 	default:
 		return "none"
 	}

@@ -145,7 +145,7 @@ func TestWalkTraceLevels(t *testing.T) {
 	w.MarkCache(CacheInferSibling, 0)
 	w.EndLevel(LevelValid, time.Microsecond)
 	// Marks outside an open level are dropped, not misfiled.
-	w.MarkExec(ExecBatched)
+	w.MarkExec(ExecCoalesced)
 	w.Decide(true)
 
 	views := tr.Dump()

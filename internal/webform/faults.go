@@ -9,11 +9,11 @@ import (
 
 // FaultConfig makes the served interface misbehave on purpose: 5xx blips
 // and added latency injected deterministically from a seed, ahead of the
-// query endpoints (/search, /api/search, /api/search/batch). It is the
-// server-side counterpart of internal/faultform's connector wrapper: the
-// wrapper exercises the layers above the wire, this exercises the real
-// wire — HTML scraping, pagination, retry and backoff in formclient.HTTP
-// — against a site that behaves like production on a bad day.
+// query endpoints (/search, /api/search). It is the server-side
+// counterpart of internal/faultform's connector wrapper: the wrapper
+// exercises the layers above the wire, this exercises the real wire —
+// HTML scraping, pagination, retry and backoff in formclient.HTTP —
+// against a site that behaves like production on a bad day.
 //
 // Faults are keyed by the request's path and query, so one logical query
 // blips the same way no matter which client retries it, and recover after

@@ -37,11 +37,6 @@ type Options struct {
 	// Every page fetch re-runs the query (and is rate limited), exactly
 	// like a live site.
 	PageSize int
-	// MaxBatch bounds the queries accepted by one POST /api/search/batch
-	// request (default 16). The whole batch runs under a single
-	// rate-limit charge — that is the endpoint's point — so the bound is
-	// what keeps a batch from becoming a free crawl.
-	MaxBatch int
 	// Fault, when set, injects deterministic misbehaviour (5xx blips,
 	// latency) into the query endpoints; see FaultConfig.
 	Fault *FaultConfig
@@ -76,9 +71,6 @@ func NewServer(db *hiddendb.DB, opts Options) *Server {
 	if opts.Burst <= 0 {
 		opts.Burst = 10
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 16
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -98,7 +90,6 @@ func NewServer(db *hiddendb.DB, opts Options) *Server {
 	s.mux.HandleFunc("/item/", s.instrument("item", s.handleItem))
 	s.mux.HandleFunc("/api/schema", s.instrument("api_schema", s.handleAPISchema))
 	s.mux.HandleFunc("/api/search", s.instrument("api_search", s.handleAPISearch))
-	s.mux.HandleFunc("POST /api/search/batch", s.instrument("api_batch", s.handleAPIBatch))
 	return s
 }
 
@@ -493,64 +484,6 @@ func (s *Server) toAPIResult(res *hiddendb.Result) apiResult {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
-}
-
-// batchRequest is the POST /api/search/batch body: one predicate map
-// (attribute name → value index) per query.
-type batchRequest struct {
-	Queries []map[string]int `json:"queries"`
-}
-
-// batchResponse answers a batch, results aligned with the request.
-type batchResponse struct {
-	Results []apiResult `json:"results"`
-}
-
-// handleAPIBatch executes up to MaxBatch queries under one rate-limit
-// charge — the wire-amortization counterpart of the client's
-// micro-batching layer. Each query is validated like a form submission;
-// one bad query fails the whole batch (the client retries unbatched).
-func (s *Server) handleAPIBatch(w http.ResponseWriter, r *http.Request) {
-	if s.intercept(w, r) || s.rateLimited(w, r) {
-		return
-	}
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "webform: bad batch body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "webform: empty batch", http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) > s.opts.MaxBatch {
-		http.Error(w, fmt.Sprintf("webform: batch of %d exceeds limit %d", len(req.Queries), s.opts.MaxBatch), http.StatusBadRequest)
-		return
-	}
-	schema := s.db.Schema()
-	out := batchResponse{Results: make([]apiResult, 0, len(req.Queries))}
-	for qi, preds := range req.Queries {
-		q := hiddendb.EmptyQuery()
-		for name, idx := range preds {
-			attr := schema.AttrIndex(name)
-			if attr < 0 {
-				http.Error(w, fmt.Sprintf("webform: batch query %d: unknown attribute %q", qi, name), http.StatusBadRequest)
-				return
-			}
-			if idx < 0 || idx >= schema.DomainSize(attr) {
-				http.Error(w, fmt.Sprintf("webform: batch query %d: value %d out of range for %q", qi, idx, name), http.StatusBadRequest)
-				return
-			}
-			q = q.With(attr, idx)
-		}
-		res, err := s.db.Execute(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		out.Results = append(out.Results, s.toAPIResult(res))
-	}
-	writeJSON(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -65,8 +65,7 @@ func NewReplicaSet(ctx context.Context, conn Conn, cfg Config, workers int) (*Re
 	} else {
 		// The execution layer serves the replicas jointly, so it wraps
 		// the shared connector here, below the shared cache: replicas
-		// racing one top-of-tree query coalesce on a single wire request,
-		// and distinct concurrent cache misses share batch requests.
+		// racing one top-of-tree query coalesce on a single wire request.
 		if !cfg.Exec.Disable {
 			rs.exec = queryexec.New(conn, cfg.Exec.options())
 			effective = rs.exec
@@ -218,7 +217,6 @@ func (rs *ReplicaSet) Progress() Stats {
 	if rs.exec != nil {
 		xs := rs.exec.ExecStats()
 		st.QueriesCoalesced = xs.Coalesced
-		st.QueriesBatched = xs.Batched
 		st.QueriesRetried = xs.TransientRetries
 	}
 	return st
@@ -248,11 +246,8 @@ func DrawParallel(ctx context.Context, conn Conn, cfg Config, n, workers int) ([
 	if n < workers {
 		// More replicas than samples would leave idle workers; a single
 		// replica (still through the ReplicaSet, so an injected cache is
-		// adopted rather than double-wrapped) is equivalent. A lone
-		// sequential replica can never fill a batch window, so drop the
-		// linger — it would only add per-query latency.
+		// adopted rather than double-wrapped) is equivalent.
 		workers = 1
-		cfg.Exec.BatchLinger = 0
 	}
 	rs, err := NewReplicaSet(ctx, conn, cfg, workers)
 	if err != nil {

@@ -18,7 +18,9 @@
 //
 // # Layout
 //
-// This root package is a facade over the implementation packages:
+// This root package is a facade over the implementation packages. Its
+// NewStack is the one builder of the query path every sampler draws
+// through (connector → execution layer → history cache, when enabled):
 //
 //   - internal/hiddendb — the hidden database engine (schema, conjunctive
 //     top-k execution, ranking, count modes, budgets)
@@ -27,16 +29,15 @@
 //   - internal/htmlx, internal/formclient — HTML scraping and the Local /
 //     HTTP / API connectors
 //   - internal/history — query memoization and inference
-//   - internal/queryexec — the query-execution layer concurrent sampler
-//     paths route through: single-flight coalescing of identical in-flight
-//     queries (complementing the history cache's completed-query
-//     memoization), an AIMD adaptive concurrency limiter with an
-//     aggregate per-host rate budget, and bounded transient retry
-//     (Config.Exec tunes it)
+//   - internal/queryexec — the query-execution layer every sampler routes
+//     through: single-flight coalescing of identical in-flight queries
+//     (complementing the history cache's completed-query memoization), an
+//     AIMD adaptive concurrency limiter with an aggregate per-host rate
+//     budget, and bounded transient retry (Config.Exec tunes it)
 //   - internal/core — the samplers, rejection and pipeline
 //   - internal/jobsvc — the sampling job-orchestration service behind
-//     cmd/hdsamplerd: worker pools, shared per-host history caches,
-//     politeness budgets, checkpoints and the REST API
+//     cmd/hdsamplerd: worker pools, a query stack per target and history
+//     mode, politeness budgets, checkpoints and the REST API
 //   - internal/store — durable sample sets with schema and provenance
 //   - internal/exact — closed-form walk analysis for experiments
 //   - internal/estimate, internal/metrics — output statistics

@@ -11,6 +11,7 @@ import (
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/queryexec"
 	"hdsampler/internal/webform"
 )
 
@@ -94,15 +95,16 @@ func TestDrawParallelAggregateRateBounded(t *testing.T) {
 	}
 }
 
-// TestReplicaSetExecStats covers the layer's wiring and stat plumbing
-// over a local connector.
+// TestReplicaSetExecStats covers the layer's stat plumbing: replicas
+// drawing through a Stack's conn land their queries on its executor.
 func TestReplicaSetExecStats(t *testing.T) {
 	ds := datagen.Vehicles(1500, 9)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewReplicaSet(context.Background(), LocalConn(db), Config{
+	st := NewStack(LocalConn(db), queryexec.Options{}, nil)
+	rs, err := NewReplicaSet(context.Background(), st.Conn(), Config{
 		Seed: 11, ShuffleOrder: true,
 	}, 4)
 	if err != nil {
@@ -111,34 +113,12 @@ func TestReplicaSetExecStats(t *testing.T) {
 	if _, _, err := rs.Draw(context.Background(), 40); err != nil {
 		t.Fatal(err)
 	}
-	xs, ok := rs.ExecStats()
-	if !ok {
-		t.Fatal("ReplicaSet built without the execution layer")
-	}
+	xs := st.ExecStats()
 	if xs.Queries == 0 {
 		t.Fatal("executor saw no queries")
 	}
 	if xs.WireCalls > xs.Queries {
 		t.Fatalf("wire calls %d exceed logical queries %d", xs.WireCalls, xs.Queries)
-	}
-}
-
-// TestReplicaSetExecDisable keeps the opt-out honest (the daemon relies
-// on it: its connector stacks already hold a shared executor).
-func TestReplicaSetExecDisable(t *testing.T) {
-	ds := datagen.Vehicles(200, 9)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewReplicaSet(context.Background(), LocalConn(db), Config{
-		Seed: 1, Exec: ExecConfig{Disable: true},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rs.ExecStats(); ok {
-		t.Fatal("Disable did not bypass the execution layer")
 	}
 }
 
@@ -179,9 +159,9 @@ func TestSliderZeroExplicit(t *testing.T) {
 	}
 }
 
-// TestSingleSamplerTransientRetryKnob pins that an explicit
-// TransientRetries budget alone wires a lone Sampler through the
-// execution layer: a one-blip interface must cost a retry, not the draw.
+// TestSingleSamplerTransientRetryKnob pins that a lone Sampler draws
+// through the execution layer and its TransientRetries budget: a one-blip
+// interface must cost a retry, not the draw.
 func TestSingleSamplerTransientRetryKnob(t *testing.T) {
 	ds := datagen.IIDBoolean(5, 200, 0.5, 9)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 8})
@@ -193,19 +173,18 @@ func TestSingleSamplerTransientRetryKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples, _, err := s.Draw(context.Background(), 10)
+	tuples, stats, err := s.Draw(context.Background(), 10)
 	if err != nil {
 		t.Fatalf("Draw through a transient blip: %v", err)
 	}
 	if len(tuples) != 10 {
 		t.Fatalf("drew %d of 10 samples", len(tuples))
 	}
-	xs, ok := s.ExecStats()
-	if !ok {
-		t.Fatal("TransientRetries knob did not wire the execution layer")
-	}
-	if xs.TransientRetries != 1 {
+	if xs := s.ExecStats(); xs.TransientRetries != 1 {
 		t.Fatalf("TransientRetries = %d, want 1", xs.TransientRetries)
+	}
+	if stats.QueriesRetried != 1 {
+		t.Fatalf("Draw stats QueriesRetried = %d, want 1", stats.QueriesRetried)
 	}
 	if !conn.blipped.Load() {
 		t.Fatal("test conn never blipped")

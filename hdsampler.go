@@ -10,7 +10,6 @@ import (
 	"hdsampler/internal/estimate"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
-	"hdsampler/internal/history"
 	"hdsampler/internal/queryexec"
 	"hdsampler/internal/telemetry"
 )
@@ -73,15 +72,11 @@ func (m Method) String() string {
 	}
 }
 
-// ExecConfig tunes the query-execution layer (internal/queryexec):
-// single-flight coalescing of identical in-flight queries, AIMD-adaptive
-// concurrency limiting shared by every replica on the connector, and
-// bounded transient retry.
+// ExecConfig tunes the query-execution layer (internal/queryexec) every
+// sampler draws through: single-flight coalescing of identical in-flight
+// queries, AIMD-adaptive concurrency limiting shared by every replica on
+// the connector, and bounded transient retry.
 type ExecConfig struct {
-	// Disable bypasses the execution layer entirely. The jobsvc daemon
-	// sets this on its ReplicaSets: its per-host connector stacks already
-	// contain a shared executor.
-	Disable bool
 	// MaxInFlight caps concurrent wire requests across all replicas: the
 	// AIMD ceiling, additively raised on clean responses and
 	// multiplicatively cut on 429 pushback. 0 disables concurrency
@@ -101,33 +96,18 @@ type ExecConfig struct {
 	TransientRetries int
 }
 
-// limited reports whether any knob is set that requires routing even a
-// lone sampler through the execution layer: admission control, or an
-// explicit transient-retry budget (retries live in the layer, so a
-// sampler configured to survive blips must be wired through it).
-func (e ExecConfig) limited() bool {
-	return e.MaxInFlight > 0 || e.RatePerSec > 0 || e.TransientRetries > 0
-}
-
-// limiter builds the admission controller the knobs describe (nil when
-// none is set).
-func (e ExecConfig) limiter() *queryexec.Limiter {
-	if !e.limited() {
-		return nil
-	}
-	return queryexec.NewLimiter(queryexec.LimiterOptions{
-		MaxInFlight: e.MaxInFlight,
-		RatePerSec:  e.RatePerSec,
-		Burst:       e.Burst,
-	})
-}
-
-// options converts the knobs to the internal layer's options.
+// options converts the knobs to the layer's options. The admission
+// controller exists only when a concurrency or rate cap is set.
 func (e ExecConfig) options() queryexec.Options {
-	return queryexec.Options{
-		Limiter:          e.limiter(),
-		TransientRetries: e.TransientRetries,
+	o := queryexec.Options{TransientRetries: e.TransientRetries}
+	if e.MaxInFlight > 0 || e.RatePerSec > 0 {
+		o.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
+			MaxInFlight: e.MaxInFlight,
+			RatePerSec:  e.RatePerSec,
+			Burst:       e.Burst,
+		})
 	}
+	return o
 }
 
 // Config tunes a Sampler.
@@ -172,10 +152,8 @@ type Config struct {
 	AdaptiveQuantile float64
 	// AdaptiveWarmup is the calibration candidate count (default 100).
 	AdaptiveWarmup int
-	// Exec tunes the query-execution layer. A single Sampler routes
-	// through it only when an admission knob is set (a lone generator
-	// goroutine has nothing to coalesce); ReplicaSet and DrawParallel
-	// always route through it unless Disable is set.
+	// Exec tunes the query-execution layer, which New and DrawParallel
+	// always place below the history cache.
 	Exec ExecConfig
 	// Obs observes candidate draws: walk-duration histogram, sampled walk
 	// tracing, and the slow-walk log. The observer's instruments are
@@ -195,79 +173,83 @@ type Stats struct {
 	Queries      int64
 	QueriesSaved int64
 	// QueriesCoalesced counts queries answered by joining an identical
-	// in-flight query — the execution layer's savings (zero without it).
+	// in-flight query — the execution layer's savings.
 	QueriesCoalesced int64
 	// QueriesRetried counts wire executions the execution layer repeated
 	// after transient interface faults — misbehaviour absorbed before it
-	// could kill a walk (zero without the layer).
+	// could kill a walk.
 	QueriesRetried int64
 	Elapsed        time.Duration
 }
 
-// Sampler is the assembled system: connector (optionally wrapped in the
-// history cache), generator, and rejection processor.
+// Sampler is the assembled system: the query stack (connector, execution
+// layer, optional history cache), a generator and the rejection
+// processor.
 type Sampler struct {
-	conn   Conn
-	cache  *history.Cache
-	exec   *queryexec.Executor
-	gen    core.Generator
-	rej    core.Acceptor
-	schema *Schema
-	cfg    Config
+	stack *Stack
+	replica
 }
 
-// New assembles a sampler over the connector.
+// New assembles a sampler over the connector: the Stack cfg describes,
+// with one generator and rejector drawing through it.
 func New(ctx context.Context, conn Conn, cfg Config) (*Sampler, error) {
-	schema, err := conn.Schema(ctx)
+	st := cfg.stack(conn)
+	r, err := newReplica(ctx, st.Conn(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{conn: conn, schema: schema, cfg: cfg}
-	effective := conn
-	// The execution layer sits below the cache: cache misses are the
-	// queries worth rate-bounding. A lone sampler has no concurrency to
-	// coalesce (its generator issues queries sequentially), so it routes
-	// through the layer only when an admission knob asks for it;
-	// ReplicaSet wires the full layer for the concurrent paths.
-	if !cfg.Exec.Disable && cfg.Exec.limited() {
-		s.exec = queryexec.New(conn, cfg.Exec.options())
-		effective = s.exec
+	return &Sampler{stack: st, replica: r}, nil
+}
+
+// replica is one generator and its acceptance/rejection processor: the
+// part of a sampler above the query stack. New builds one; NewReplicaSet
+// builds one per worker.
+type replica struct {
+	gen    core.Generator
+	rej    core.Acceptor
+	schema *Schema
+}
+
+// newReplica builds the generator and rejector cfg selects over conn. The
+// stack options in cfg (UseHistory, TrustCounts, Exec) are not read: conn
+// is the stack.
+func newReplica(ctx context.Context, conn Conn, cfg Config) (replica, error) {
+	schema, err := conn.Schema(ctx)
+	if err != nil {
+		return replica{}, err
 	}
-	if cfg.UseHistory {
-		s.cache = history.New(effective, history.Options{TrustCounts: cfg.TrustCounts})
-		effective = s.cache
-	}
+	r := replica{schema: schema}
 	order := core.OrderFixed
 	if cfg.ShuffleOrder {
 		order = core.OrderShuffle
 	}
 	switch cfg.Method {
 	case MethodRandomWalk:
-		s.gen, err = core.NewWalker(ctx, effective, core.WalkerConfig{
+		r.gen, err = core.NewWalker(ctx, conn, core.WalkerConfig{
 			Seed: cfg.Seed, Order: order, Attrs: cfg.Attrs, Obs: cfg.Obs,
 		})
 	case MethodBruteForce:
-		s.gen, err = core.NewBruteForce(ctx, effective, core.BruteForceConfig{
+		r.gen, err = core.NewBruteForce(ctx, conn, core.BruteForceConfig{
 			Seed: cfg.Seed, Attrs: cfg.Attrs,
 		})
 	case MethodCountWeighted:
-		s.gen, err = core.NewCountWalker(ctx, effective, core.CountWalkerConfig{
+		r.gen, err = core.NewCountWalker(ctx, conn, core.CountWalkerConfig{
 			Seed: cfg.Seed, Order: order, Attrs: cfg.Attrs,
 			UseParentCount: cfg.UseParentCount, Obs: cfg.Obs,
 		})
 	default:
-		return nil, fmt.Errorf("hdsampler: unknown method %v", cfg.Method)
+		return r, fmt.Errorf("hdsampler: unknown method %v", cfg.Method)
 	}
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	// Brute force is already uniform: no rejection. Otherwise use the
 	// adaptive rejector when requested, else derive C from the explicit
 	// value or the slider.
 	if cfg.Method != MethodBruteForce {
 		if cfg.AdaptiveQuantile > 0 {
-			s.rej = core.NewAdaptiveRejector(cfg.AdaptiveQuantile, cfg.AdaptiveWarmup, cfg.Seed+1)
-			return s, nil
+			r.rej = core.NewAdaptiveRejector(cfg.AdaptiveQuantile, cfg.AdaptiveWarmup, cfg.Seed+1)
+			return r, nil
 		}
 		c := cfg.C
 		if c <= 0 {
@@ -285,41 +267,40 @@ func New(ctx context.Context, conn Conn, cfg Config) (*Sampler, error) {
 			c = core.SliderC(schema, cfg.Attrs, k, slider)
 		}
 		if c < 1 {
-			s.rej = core.NewRejector(c, cfg.Seed+1)
+			r.rej = core.NewRejector(c, cfg.Seed+1)
 		}
 	}
-	return s, nil
+	return r, nil
 }
 
 // Schema returns the target database's discovered schema.
-func (s *Sampler) Schema() *Schema { return s.schema }
+func (r replica) Schema() *Schema { return r.schema }
 
 // C returns the effective rejection target: 1 when accepting everything,
 // 0 while an adaptive rejector is still calibrating.
-func (s *Sampler) C() float64 {
-	switch r := s.rej.(type) {
-	case nil:
-		return 1
+func (r replica) C() float64 {
+	switch rej := r.rej.(type) {
 	case *core.Rejector:
-		if r == nil {
-			return 1
-		}
-		return r.C
+		return rej.C
 	case *core.AdaptiveRejector:
-		return r.C()
+		return rej.C()
 	default:
 		return 1
 	}
 }
 
+// NewPipeline returns an incremental pipeline targeting n samples (0 = run
+// until the kill switch); read samples from Pipeline.Start.
+func (r replica) NewPipeline(n int) *Pipeline {
+	return core.NewPipeline(r.gen, r.rej, core.PipelineConfig{Target: n})
+}
+
 // Draw synchronously collects n accepted samples. Stats are per-call
-// deltas: QueriesSaved is windowed over this call like every other
-// counter, so consecutive Draws never double-report cache savings.
+// deltas: the stack's savings (QueriesSaved, QueriesCoalesced,
+// QueriesRetried) are windowed over this call like every other counter,
+// so consecutive Draws never double-report them.
 func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
-	var saved0 int64
-	if s.cache != nil {
-		saved0 = s.cache.CacheStats().Saved()
-	}
+	m := s.stack.mark()
 	tuples, cs, err := core.Collect(ctx, s.gen, s.rej, n)
 	st := Stats{
 		Candidates: cs.Candidates,
@@ -328,33 +309,19 @@ func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 		Queries:    cs.Queries,
 		Elapsed:    cs.Elapsed,
 	}
-	if s.cache != nil {
-		st.QueriesSaved = s.cache.CacheStats().Saved() - saved0
-	}
+	s.stack.fill(&st, m)
 	return tuples, st, err
 }
 
-// NewPipeline returns an incremental pipeline targeting n samples (0 = run
-// until the kill switch); read samples from Pipeline.Start.
-func (s *Sampler) NewPipeline(n int) *Pipeline {
-	return core.NewPipeline(s.gen, s.rej, core.PipelineConfig{Target: n})
-}
-
-// ExecStats returns the execution layer's counters; ok is false when the
-// sampler runs without the layer.
-func (s *Sampler) ExecStats() (ExecStats, bool) {
-	if s.exec == nil {
-		return ExecStats{}, false
-	}
-	return s.exec.ExecStats(), true
-}
+// ExecStats returns the execution layer's counters.
+func (s *Sampler) ExecStats() ExecStats { return s.stack.ExecStats() }
 
 // HistoryStats returns (saved, issued) query counts when UseHistory is on.
 func (s *Sampler) HistoryStats() (saved, issued int64) {
-	if s.cache == nil {
+	if s.stack.cache == nil {
 		return 0, 0
 	}
-	cs := s.cache.CacheStats()
+	cs := s.stack.cache.CacheStats()
 	return cs.Saved(), cs.Issued
 }
 

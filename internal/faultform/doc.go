@@ -5,7 +5,8 @@
 // slow-start latency — injected as pure functions of a seed and the query
 // signature, so every run with one seed replays the same misbehaviour.
 //
-// The wrapper sits where the wire would be, below the execution layer:
+// The wrapper sits where the wire would be, below the query stack that
+// hdsampler.NewStack assembles:
 //
 //	sampler → history.Cache → queryexec.Executor → faultform → formclient.Local
 //

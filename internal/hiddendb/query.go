@@ -2,7 +2,6 @@ package hiddendb
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,19 +140,8 @@ func (q Query) Len() int { return len(q.preds) }
 // predicate list. Use with Len for zero-allocation iteration.
 func (q Query) Pred(i int) Predicate { return q.preds[i] }
 
-// All iterates the predicates in canonical order without copying.
-func (q Query) All() iter.Seq[Predicate] {
-	return func(yield func(Predicate) bool) {
-		for _, p := range q.preds {
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}
-
 // Preds returns a copy of the predicate list in canonical order. Hot paths
-// should iterate via Len/Pred or All instead of paying for the copy.
+// should iterate via Len/Pred instead of paying for the copy.
 func (q Query) Preds() []Predicate { return append([]Predicate(nil), q.preds...) }
 
 // Value returns the value constrained for attribute attr and whether the

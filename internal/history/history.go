@@ -196,7 +196,7 @@ func (c *Cache) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	if s := c.schema.Load(); s != nil {
 		return s, nil
 	}
-	//hdlint:ignore lockorder the decorator stack is acyclic by construction — inner is never another history.Cache, so this interface call cannot reenter schemaMu
+	//hdlint:ignore lockorder hdsampler.NewStack, the only production builder of a cache, always puts it directly over a queryexec.Executor — inner is never another history.Cache, so this interface call cannot reenter schemaMu
 	s, err := c.inner.Schema(ctx)
 	if err != nil {
 		return nil, err

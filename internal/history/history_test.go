@@ -470,6 +470,48 @@ func TestDumpRestoreWarmStart(t *testing.T) {
 	}
 }
 
+// TestRestoreSkipsRowsThatDoNotFit pins that Restore skips entries whose
+// rows do not fit the live schema. A checkpoint written before a site
+// changed its schema can hold a complete root entry (the root key parses
+// under any schema) whose rows are too short; adopting it made rules 2-3
+// answer every query as empty.
+func TestRestoreSkipsRowsThatDoNotFit(t *testing.T) {
+	ds := datagen.IIDBoolean(5, 40, 0.5, 3)
+	db, local, cache := newCachedConn(t, ds, 100, hiddendb.CountNone, Options{})
+	ctx := context.Background()
+	row := func(vals ...int) []hiddendb.Tuple { return []hiddendb.Tuple{{ID: 1, Vals: vals}} }
+	a0 := hiddendb.MustQuery(hiddendb.Predicate{Attr: 0, Value: 0}).Key()
+	snap := &Snapshot{Entries: []SnapshotEntry{
+		{Key: "", Tuples: row(1)},                          // wrong arity
+		{Key: a0, Tuples: row(0, 1, 0, 1, 2)},              // out of domain
+		{Key: a0, Tuples: row(1, 1, 0, 1, 0)},              // does not match its key
+		{Key: a0, Overflow: true, Tuples: row(0, 1, 0, 1)}, // wrong arity, overflow
+		{Key: a0, Tuples: row(0, 0, 0, 0, -1)},             // negative value
+	}}
+	n, err := cache.Restore(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || cache.Len() != 0 {
+		t.Fatalf("restored %d entries (cache holds %d), want none", n, cache.Len())
+	}
+	root := hiddendb.EmptyQuery()
+	got, err := cache.Execute(ctx, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Execute(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Overflow != want.Overflow || len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("root answer %+v, want the interface's %+v", got, want)
+	}
+	if local.Stats().Queries != 1 {
+		t.Fatalf("root query reached the interface %d times, want 1", local.Stats().Queries)
+	}
+}
+
 func TestCacheSharesImmutableRows(t *testing.T) {
 	// Cache hits share the entry's tuple rows (Results are read-only by
 	// convention): repeated hits must return identical rows without the

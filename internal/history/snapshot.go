@@ -48,9 +48,11 @@ func (c *Cache) Dump() *Snapshot {
 }
 
 // Restore warm-starts the cache from a snapshot, returning how many
-// entries were adopted. Entries whose keys no longer parse against the
-// connector's current schema are skipped (the target may have changed);
-// hit/eviction counters are untouched, and MaxEntries still applies.
+// entries were adopted. Entries that no longer fit the connector's current
+// schema are skipped (the target may have changed): a key that does not
+// parse, or a row of the wrong arity, with an out-of-domain value, or not
+// matching its key. Hit/eviction counters are untouched, and MaxEntries
+// still applies.
 //
 // Restore takes ownership of the snapshot's tuple slices: adopted entries
 // alias them (entries are immutable, so no defensive copy is paid), and
@@ -65,7 +67,7 @@ func (c *Cache) Restore(ctx context.Context, snap *Snapshot) (int, error) {
 	adopted := 0
 	for _, se := range snap.Entries {
 		q, err := hiddendb.ParseQueryKey(schema, se.Key)
-		if err != nil {
+		if err != nil || !rowsFit(schema, q, se.Tuples) {
 			continue
 		}
 		res := &hiddendb.Result{Overflow: se.Overflow, Count: se.Count, Tuples: se.Tuples}
@@ -74,4 +76,22 @@ func (c *Cache) Restore(ctx context.Context, snap *Snapshot) (int, error) {
 		adopted++
 	}
 	return adopted, nil
+}
+
+// rowsFit reports whether every row could be part of q's answer under
+// schema: schema arity, in-domain values, and matching q. The root key
+// parses under any schema, so a stale entry is caught only by its rows.
+func rowsFit(schema *hiddendb.Schema, q hiddendb.Query, rows []hiddendb.Tuple) bool {
+	for i := range rows {
+		vals := rows[i].Vals
+		if len(vals) != schema.NumAttrs() || !q.Matches(vals) {
+			return false
+		}
+		for a, v := range vals {
+			if v < 0 || v >= schema.DomainSize(a) {
+				return false
+			}
+		}
+	}
+	return true
 }

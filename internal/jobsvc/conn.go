@@ -9,11 +9,11 @@ import (
 	"hdsampler/internal/hiddendb"
 )
 
-// The per-host politeness budget and concurrency bound live in the shared
-// queryexec layer now (see hostEntry in manager.go): every job hitting one
-// host draws through one queryexec.Executor whose AIMD limiter bounds the
-// *aggregate* request stream — unlike the old per-goroutine politeness
-// sleeps, which let N workers together exceed the configured rate N-fold.
+// The per-host politeness budget and concurrency bound live in the
+// queryexec layer (see hostEntry in manager.go): every stack on one host
+// shares one AIMD limiter, which bounds the *aggregate* request stream —
+// unlike per-goroutine politeness sleeps, which let N workers together
+// exceed the configured rate N-fold.
 
 // budgetConn enforces one job's MaxQueries: it counts the queries the
 // job's samplers issue (the same number Stats.Queries reports — history
@@ -39,3 +39,12 @@ func (b *budgetConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.R
 func (b *budgetConn) Stats() formclient.Stats { return b.inner.Stats() }
 
 var _ formclient.Conn = (*budgetConn)(nil)
+
+// budget wraps a job's stack conn in its MaxQueries budget, when it has
+// one; crawl jobs hand their budget to the crawler instead.
+func (s Spec) budget(conn formclient.Conn) formclient.Conn {
+	if s.MaxQueries > 0 && s.Method != MethodCrawl {
+		return &budgetConn{inner: conn, budget: s.MaxQueries}
+	}
+	return conn
+}

@@ -7,12 +7,12 @@
 // A Manager accepts jobs (target URL, sampling method, sample count,
 // slider, worker count, query budget), runs each on its own replica pool
 // via hdsampler.ReplicaSet, and exposes live progress while the job runs.
-// Jobs hitting the same target share one query-history cache per host, so
-// one job's answers save every other job's queries, and a per-host
-// politeness budget keeps concurrent jobs from hammering one site.
-// Completed (and cancelled/failed-partial) sample sets are checkpointed
-// to disk through internal/store. NewHandler exposes the whole thing as a
-// REST API.
+// Jobs draw through one hdsampler.NewStack stack per target and history
+// mode (off, untrusted, trusted), so one job's answers save every other
+// job's queries, and a per-host politeness budget keeps concurrent jobs
+// from hammering one site. Completed (and cancelled/failed-partial) sample
+// sets are checkpointed to disk through internal/store. NewHandler
+// exposes the whole thing as a REST API.
 package jobsvc
 
 import (
@@ -150,7 +150,7 @@ type View struct {
 	// Live progress: accepted samples, candidates drawn, rejections, the
 	// interface query bill and what the shared history cache saved.
 	// QueriesSaved is the cache's savings over the job's lifetime window,
-	// so jobs overlapping on one host each see the window's total; the
+	// so jobs overlapping on one cache each see the window's total; the
 	// exact global figure is the host cache counter on /metrics.
 	Accepted       int64   `json:"accepted"`
 	Candidates     int64   `json:"candidates"`

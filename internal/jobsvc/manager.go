@@ -155,34 +155,49 @@ type Manager struct {
 	wg     sync.WaitGroup
 }
 
-// hostEntry shares one admission limiter (rate + AIMD concurrency), one
-// execution layer per target, and one history cache across every job
-// hitting a host.
+// hostEntry keeps a host's targets and the options every stack on the
+// host is built with: the shared admission limiter (rate + AIMD
+// concurrency), the host's registry-backed wire, execution and cache
+// lookup histograms, and the cache cap.
 type hostEntry struct {
-	host    string
-	limiter *queryexec.Limiter
-
-	// wire / execH / lookup are the host's registry-backed latency
-	// histograms, shared by every target stack on the host.
-	wire   *telemetry.Histogram
-	execH  *telemetry.Histogram
-	lookup *telemetry.Histogram
+	host string
+	exec queryexec.Options
+	hist history.Options
 
 	mu      sync.Mutex
 	targets map[string]*target
 }
 
-// target is one (connector kind, base URL) stack below the caches: the
-// raw formclient conn (optionally wrapped in the configured fault
-// profile) wrapped in the shared execution layer (coalescing, host-wide
-// admission control, transient retry). Caches are split by TrustCounts
-// because trusted and untrusted inference disagree.
+// target is one (connector kind, base URL): the raw formclient conn
+// (optionally wrapped in the configured fault profile) and one
+// hdsampler.Stack over it per history mode. Jobs sharing a target and a
+// mode share that stack's cache and coalesce on its executor.
 type target struct {
 	key    string // connector + "|" + URL, the checkpoint identity
-	conn   formclient.Conn
-	exec   *queryexec.Executor
+	base   formclient.Conn
 	fault  *faultform.Conn // nil without a fault profile
-	caches map[bool]*history.Cache
+	stacks map[historyMode]*hdsampler.Stack
+}
+
+// historyMode picks a job's stack on its target: no history, or a cache
+// that distrusts or trusts counts (the two infer differently, so they
+// never share a cache).
+type historyMode int
+
+const (
+	historyOff historyMode = iota
+	historyUntrusted
+	historyTrusted
+)
+
+func (s Spec) historyMode() historyMode {
+	switch {
+	case s.NoHistory:
+		return historyOff
+	case s.TrustCounts:
+		return historyTrusted
+	}
+	return historyUntrusted
 }
 
 // job is the manager's internal job record.
@@ -193,7 +208,7 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	cache  *history.Cache // shared per-host cache this job draws through (nil with NoHistory)
+	cache  *history.Cache // its stack's shared cache (nil with NoHistory)
 
 	// Journal-replay base: progress a previous run (earlier lease epoch)
 	// already paid for, adopted at restore time and folded into every
@@ -314,14 +329,14 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 		}
 	}
 
-	// Assemble the connector stack before publishing the job, so every
-	// field concurrent view() calls read is in place first.
-	conn, cache := host.connFor(spec, m.cfg)
+	// Assemble the query stack before publishing the job, so every field
+	// concurrent view() calls read is in place first.
+	st := host.stackFor(spec, m.cfg)
 	j := &job{
 		id:      id,
 		spec:    spec,
 		host:    u.Host,
-		cache:   cache,
+		cache:   st.Cache(),
 		state:   StateQueued,
 		created: created,
 	}
@@ -346,7 +361,7 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	go m.run(j, conn)
+	go m.run(j, spec.budget(st.Conn()))
 	return j.view(), nil
 }
 
@@ -422,15 +437,14 @@ func (m *Manager) restore(rep *jobq.Replay) {
 		}
 		//hdlint:ignore ctxflow a requeued job outlives the restore; its lifetime is bounded by cancel via Cancel/Shutdown, not by any caller context
 		j.ctx, j.cancel = context.WithCancel(context.Background())
-		host := m.hostLocked(u.Host)
-		conn, cache := host.connFor(spec, m.cfg)
-		j.cache = cache
+		st := m.hostLocked(u.Host).stackFor(spec, m.cfg)
+		j.cache = st.Cache()
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
 		m.wg.Add(1)
 		m.lg.Info("requeued interrupted job from journal",
 			"job", j.id, "epoch", jr.Epoch, "accepted_base", len(j.baseTuples))
-		go m.run(j, conn)
+		go m.run(j, spec.budget(st.Conn()))
 	}
 }
 
@@ -504,12 +518,11 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 		he = &hostEntry{
 			host:    host,
 			targets: make(map[string]*target),
-			wire:    m.wireHist.With(host),
-			execH:   m.execHist.With(host),
-			lookup:  m.cacheHist.With(host),
+			exec:    queryexec.Options{Wire: m.wireHist.With(host), ExecLatency: m.execHist.With(host)},
+			hist:    history.Options{MaxEntries: m.cfg.CacheMaxEntries, Lookup: m.cacheHist.With(host)},
 		}
 		if m.cfg.HostRatePerSec > 0 || m.cfg.HostMaxInFlight > 0 {
-			he.limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
+			he.exec.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
 				MaxInFlight: m.cfg.HostMaxInFlight,
 				RatePerSec:  m.cfg.HostRatePerSec,
 				Burst:       m.cfg.HostBurst,
@@ -520,77 +533,62 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 	return he
 }
 
-// connFor assembles the job's connector stack: base conn (shared per
-// target URL) → shared execution layer (coalescing, host-wide AIMD
-// admission, transient retry) → shared history cache (unless opted out) →
-// per-job query budget. A cache created here is warm-started from its
-// HistoryDir checkpoint, when one exists.
-func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.Cache) {
+// stackFor returns the stack a job draws through: the hdsampler.Stack for
+// the job's history mode over its target's base conn (shared per
+// connector kind and URL, wrapped in the configured fault profile in
+// chaos mode). A stack with a cache is warm-started from its HistoryDir
+// checkpoint, when one exists.
+func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 	key := spec.Connector + "|" + spec.URL
+	mode := spec.historyMode()
 
 	he.mu.Lock()
 	tg, ok := he.targets[key]
 	if !ok {
-		var base formclient.Conn
+		tg = &target{key: key, stacks: make(map[historyMode]*hdsampler.Stack)}
 		opts := formclient.HTTPOptions{Client: cfg.Client}
 		if spec.Connector == ConnectorAPI {
-			base = formclient.NewAPI(spec.URL, opts)
+			tg.base = formclient.NewAPI(spec.URL, opts)
 		} else {
-			base = formclient.NewHTTP(spec.URL, opts)
+			tg.base = formclient.NewHTTP(spec.URL, opts)
 		}
-		var fault *faultform.Conn
 		if prof, ok := faultProfile(cfg); ok {
 			// Chaos mode: the adversarial wrapper plays the misbehaving
 			// site, below the execution layer, so the AIMD limiter and the
 			// retry paths absorb the injected rudeness exactly as they
 			// would the real thing.
-			fault = faultform.Wrap(base, prof, faultSeed(cfg.FaultSeed, key))
-			base = fault
+			tg.fault = faultform.Wrap(tg.base, prof, faultSeed(cfg.FaultSeed, key))
+			tg.base = tg.fault
 		}
-		exec := queryexec.New(base, queryexec.Options{
-			Limiter:     he.limiter,
-			Wire:        he.wire,
-			ExecLatency: he.execH,
-		})
-		tg = &target{key: key, conn: exec, exec: exec, fault: fault, caches: make(map[bool]*history.Cache)}
 		he.targets[key] = tg
 	}
-	var conn formclient.Conn = tg.conn
-	cache, haveCache := tg.caches[spec.TrustCounts]
+	st := tg.stacks[mode]
 	he.mu.Unlock()
-
-	if !spec.NoHistory {
-		if !haveCache {
-			// Build — and, when configured, warm-start — the cache before
-			// publishing it, so no job ever draws through a half-restored
-			// cache and no stale checkpoint entry can overwrite an answer
-			// a live job just paid for.
-			fresh := history.New(tg.conn, history.Options{
-				TrustCounts: spec.TrustCounts,
-				MaxEntries:  cfg.CacheMaxEntries,
-				Lookup:      he.lookup,
-			})
-			if cfg.HistoryDir != "" {
-				warmStartCache(cfg.HistoryDir, historySource(key, spec.TrustCounts), fresh, cfg.logger())
-			}
-			he.mu.Lock()
-			if racer, ok := tg.caches[spec.TrustCounts]; ok {
-				cache = racer // a concurrent submit won; ours is discarded
-			} else {
-				tg.caches[spec.TrustCounts] = fresh
-				cache = fresh
-			}
-			he.mu.Unlock()
-		}
-		conn = cache
-	} else {
-		cache = nil
+	if st != nil {
+		return st
 	}
 
-	if spec.MaxQueries > 0 && spec.Method != MethodCrawl {
-		conn = &budgetConn{inner: conn, budget: spec.MaxQueries}
+	// Build — and, when configured, warm-start — the stack before
+	// publishing it, so no job ever draws through a half-restored cache
+	// and no stale checkpoint entry can overwrite an answer a live job
+	// just paid for.
+	var hist *history.Options
+	if mode != historyOff {
+		h := he.hist
+		h.TrustCounts = mode == historyTrusted
+		hist = &h
 	}
-	return conn, cache
+	fresh := hdsampler.NewStack(tg.base, he.exec, hist)
+	if c := fresh.Cache(); c != nil && cfg.HistoryDir != "" {
+		warmStartCache(cfg.HistoryDir, historySource(key, mode == historyTrusted), c, cfg.logger())
+	}
+	he.mu.Lock()
+	defer he.mu.Unlock()
+	if racer, ok := tg.stacks[mode]; ok {
+		return racer // a concurrent submit won; ours is discarded
+	}
+	tg.stacks[mode] = fresh
+	return fresh
 }
 
 // faultProfile resolves the configured fault preset; ok is false when
@@ -682,8 +680,10 @@ func (m *Manager) dumpHistory() {
 		}
 		var tasks []dumpTask
 		for _, tg := range he.targets {
-			for trust, c := range tg.caches {
-				tasks = append(tasks, dumpTask{historySource(tg.key, trust), c})
+			for mode, st := range tg.stacks {
+				if c := st.Cache(); c != nil {
+					tasks = append(tasks, dumpTask{historySource(tg.key, mode == historyTrusted), c})
+				}
 			}
 		}
 		he.mu.Unlock()
@@ -756,12 +756,6 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 		C:            j.spec.C,
 		K:            j.spec.K,
 		ShuffleOrder: !j.spec.NoShuffle,
-		// History, when on, is already in the conn stack (shared across
-		// jobs); the replicas must not wrap another cache on top. The
-		// same goes for the execution layer: the shared per-host
-		// executor sits below the caches.
-		UseHistory: false,
-		Exec:       hdsampler.ExecConfig{Disable: true},
 		// One observer per job: the duration histogram series carries the
 		// job label, while the tracer, slow-walk counter and logger are the
 		// daemon-wide instruments. Replicas share it (its instruments are
@@ -860,26 +854,13 @@ func (m *Manager) checkpointLoop(j *job, stop <-chan struct{}, done chan<- struc
 // accepted samples as a serialized store.SampleSet.
 func (m *Manager) checkpointOnce(j *job) {
 	j.mu.Lock()
-	rs, epoch := j.rs, j.epoch
-	var saved int64
-	if j.cache != nil {
-		saved = j.cache.CacheStats().Saved() - j.savedAt0
-	}
+	rs, epoch, savedAt0 := j.rs, j.epoch, j.savedAt0
 	j.mu.Unlock()
 	if rs == nil {
 		return
 	}
-	live := rs.Progress()
-	live.QueriesSaved = saved
+	cum := j.cumulative(rs.Progress(), savedAt0)
 	samples := rs.Samples()
-
-	cum := j.baseStats
-	cum.Accepted += live.Accepted
-	cum.Candidates += live.Candidates
-	cum.Rejected += live.Rejected
-	cum.Queries += live.Queries
-	cum.QueriesSaved += live.QueriesSaved
-	cum.Elapsed += live.Elapsed
 	ck := ckptFromStats(cum)
 
 	ck.Bills = append(append([]int64(nil), j.baseBills...), make([]int64, len(samples))...)
@@ -980,23 +961,13 @@ func (j *job) sampleSet(schema *hdsampler.Schema, samples []hdsampler.Sample, c 
 // already carries the checkpoint pointer.
 func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, err error) {
 	j.mu.Lock()
-	if j.cache != nil {
-		stats.QueriesSaved = j.cache.CacheStats().Saved() - j.savedAt0
-	}
-	if j.resumed {
-		// Fold in the progress an earlier epoch already paid for. The
-		// sample set (when the run produced one) is already cumulative;
-		// a run that died before producing a set keeps the base samples.
-		stats.Accepted += j.baseStats.Accepted
-		stats.Candidates += j.baseStats.Candidates
-		stats.Rejected += j.baseStats.Rejected
-		stats.Queries += j.baseStats.Queries
-		stats.QueriesSaved += j.baseStats.QueriesSaved
-		stats.Elapsed += j.baseStats.Elapsed
-		if set == nil && len(j.baseTuples) > 0 {
-			if base, berr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries); berr == nil {
-				set = base
-			}
+	stats = j.cumulative(stats, j.savedAt0)
+	if set == nil && len(j.baseTuples) > 0 {
+		// The sample set (when the run produced one) is already
+		// cumulative; a run that died before producing a set keeps the
+		// base samples.
+		if base, berr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries); berr == nil {
+			set = base
 		}
 	}
 	id := j.id
@@ -1067,6 +1038,25 @@ func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, er
 	m.maybeDumpHistory()
 }
 
+// cumulative turns a run's progress into the job's: QueriesSaved is read
+// from the job's stack (its cache's savings since the run started at
+// savedAt0), and the journal-replay base an earlier epoch already paid
+// for is folded in (zero unless resumed), so views, checkpoints and the
+// terminal record never regress below what the journal committed.
+func (j *job) cumulative(run hdsampler.Stats, savedAt0 int64) hdsampler.Stats {
+	if j.cache != nil {
+		run.QueriesSaved = j.cache.CacheStats().Saved() - savedAt0
+	}
+	b := j.baseStats
+	run.Accepted += b.Accepted
+	run.Candidates += b.Candidates
+	run.Rejected += b.Rejected
+	run.Queries += b.Queries
+	run.QueriesSaved += b.QueriesSaved
+	run.Elapsed += b.Elapsed
+	return run
+}
+
 // view snapshots the job, folding in live pool progress while running.
 func (j *job) view() View {
 	j.mu.Lock()
@@ -1092,27 +1082,14 @@ func (j *job) view() View {
 	rs, crawler := j.rs, j.crawler
 	terminal := j.state.Terminal()
 	stats := j.finalStats
-	cache, savedAt0 := j.cache, j.savedAt0
+	savedAt0 := j.savedAt0
 	started := j.started
 	j.mu.Unlock()
 
 	switch {
 	case terminal:
 	case rs != nil:
-		stats = rs.Progress()
-		if cache != nil {
-			stats.QueriesSaved = cache.CacheStats().Saved() - savedAt0
-		}
-		if j.resumed {
-			// Fold in the replayed base so a resumed job's live view never
-			// regresses below what the journal already committed.
-			stats.Accepted += j.baseStats.Accepted
-			stats.Candidates += j.baseStats.Candidates
-			stats.Rejected += j.baseStats.Rejected
-			stats.Queries += j.baseStats.Queries
-			stats.QueriesSaved += j.baseStats.QueriesSaved
-			stats.Elapsed += j.baseStats.Elapsed
-		}
+		stats = j.cumulative(rs.Progress(), savedAt0)
 	case crawler != nil:
 		stats = hdsampler.Stats{Queries: crawler.Queries()}
 		if !started.IsZero() {
@@ -1278,20 +1255,25 @@ func (m *Manager) Hosts() []HostStats {
 	out := make([]HostStats, 0, len(hes))
 	for _, he := range hes {
 		hs := HostStats{Host: he.host}
-		if he.limiter != nil {
-			hs.Throttled = he.limiter.Waits()
-			hs.Backoffs = he.limiter.Backoffs()
-			hs.InFlight = he.limiter.InFlight()
-			hs.Limit = he.limiter.Limit()
+		if l := he.exec.Limiter; l != nil {
+			hs.Throttled = l.Waits()
+			hs.Backoffs = l.Backoffs()
+			hs.InFlight = l.InFlight()
+			hs.Limit = l.Limit()
 		}
 		var shardLoads []float64
 		he.mu.Lock()
 		caches := make([]*history.Cache, 0, len(he.targets))
 		for _, tg := range he.targets {
-			xs := tg.exec.ExecStats()
-			hs.Coalesced += xs.Coalesced
-			hs.WireCalls += xs.WireCalls
-			hs.TransientRetries += xs.TransientRetries
+			for _, st := range tg.stacks {
+				xs := st.ExecStats()
+				hs.Coalesced += xs.Coalesced
+				hs.WireCalls += xs.WireCalls
+				hs.TransientRetries += xs.TransientRetries
+				if c := st.Cache(); c != nil {
+					caches = append(caches, c)
+				}
+			}
 			if tg.fault != nil {
 				fs := tg.fault.FaultStats()
 				hs.Faults.RateLimited += fs.RateLimited
@@ -1301,9 +1283,6 @@ func (m *Manager) Hosts() []HostStats {
 				hs.Faults.Reordered += fs.Reordered
 				hs.Faults.RoundedCounts += fs.RoundedCounts
 				hs.Faults.SlowCalls += fs.SlowCalls
-			}
-			for _, c := range tg.caches {
-				caches = append(caches, c)
 			}
 		}
 		he.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hdsampler"
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
@@ -308,6 +309,36 @@ func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 			t.Fatalf("in-flight never drained: %d", inFlight)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStackPerTargetAndHistoryMode pins the daemon's stack layout: one
+// hdsampler.Stack per target and history mode, shared by every job with
+// that mode, with a cache iff history is on.
+func TestStackPerTargetAndHistoryMode(t *testing.T) {
+	m := NewManager(Config{HostMaxInFlight: 4})
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+	m.mu.Lock()
+	he := m.hostLocked("example.test")
+	m.mu.Unlock()
+	stack := func(noHistory, trust bool) *hdsampler.Stack {
+		return he.stackFor(Spec{URL: "http://example.test", Connector: ConnectorHTML, NoHistory: noHistory, TrustCounts: trust}, m.cfg)
+	}
+	off, untrusted, trusted := stack(true, false), stack(false, false), stack(false, true)
+	if off.Cache() != nil || untrusted.Cache() == nil || trusted.Cache() == nil {
+		t.Fatal("a stack has a cache iff its jobs use history")
+	}
+	if off == untrusted || untrusted == trusted || off == trusted {
+		t.Fatal("history modes share a stack")
+	}
+	if stack(false, false) != untrusted || stack(true, true) != off {
+		t.Fatal("jobs with one history mode do not share its stack")
+	}
+	if he.exec.Limiter == nil {
+		t.Fatal("HostMaxInFlight built no host limiter")
+	}
+	if n := len(he.targets); n != 1 {
+		t.Fatalf("%d targets for one connector and URL", n)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package queryexec is the query-execution layer every concurrent sampler
-// path routes through on its way to the interface. It attacks the round
-// trips the history cache cannot: the cache memoizes *completed* queries,
-// but concurrent replicas walking the same top-of-tree prefixes race
+// Package queryexec is the query-execution layer every sampler routes
+// through on its way to the interface. It attacks the round trips the
+// history cache cannot: the cache memoizes *completed* queries, but
+// concurrent replicas walking the same top-of-tree prefixes race
 // identical in-flight queries past each other and all miss. The layer
 // stacks three mechanisms below the cache:
 //

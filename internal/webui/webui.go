@@ -14,11 +14,10 @@ import (
 	"strconv"
 	"sync"
 
-	"hdsampler/internal/core"
+	"hdsampler"
 	"hdsampler/internal/estimate"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
-	"hdsampler/internal/history"
 )
 
 // Server is the front-end HTTP handler. One sampling run is active at a
@@ -27,16 +26,15 @@ type Server struct {
 	conn formclient.Conn
 	k    int
 
-	mu     sync.Mutex
-	schema *hiddendb.Schema
-	run    *run
-	nextID int64
+	mu       sync.Mutex
+	schema   *hiddendb.Schema
+	run      *run
+	nextSeed int64
 }
 
 // run is one sampling session.
 type run struct {
-	id       int64
-	pipeline *core.Pipeline
+	pipeline *hdsampler.Pipeline
 	acc      *estimate.Accumulator
 	target   int
 	attrs    []int
@@ -256,58 +254,59 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	conn := s.conn
-	if r.Form.Get("history") != "" {
-		conn = history.New(s.conn, history.Options{})
+	cfg := hdsampler.Config{
+		// Slider 100 = most uniform in the UI; the Config slider's 1 is
+		// fastest, so invert.
+		Slider:       1 - float64(sliderPos)/100,
+		SliderSet:    true,
+		K:            s.k,
+		Attrs:        attrs,
+		ShuffleOrder: r.Form.Get("shuffle") != "",
+		UseHistory:   r.Form.Get("history") != "",
 	}
-	order := core.OrderFixed
-	if r.Form.Get("shuffle") != "" {
-		order = core.OrderShuffle
-	}
-	var gen core.Generator
-	//hdlint:ignore ctxflow the launched run outlives the submitting HTTP request by design; deriving from r.Context() would cancel it on response
-	ctx := context.Background()
 	switch r.Form.Get("method") {
 	case "walk", "":
-		gen, err = core.NewWalker(ctx, conn, core.WalkerConfig{Seed: s.nextID, Order: order, Attrs: attrs})
+		cfg.Method = hdsampler.MethodRandomWalk
 	case "count":
-		gen, err = core.NewCountWalker(ctx, conn, core.CountWalkerConfig{Seed: s.nextID, Order: order, Attrs: attrs})
+		cfg.Method = hdsampler.MethodCountWeighted
 	case "brute":
-		gen, err = core.NewBruteForce(ctx, conn, core.BruteForceConfig{Seed: s.nextID, Attrs: attrs})
+		cfg.Method = hdsampler.MethodBruteForce
 	default:
 		http.Error(w, "bad method", http.StatusBadRequest)
 		return
 	}
+	// Take the seed and advance the counter in one critical section, so
+	// concurrent starts neither race on nextSeed nor share a seed (New
+	// seeds the rejector with Seed+1, hence the step of 2).
+	s.mu.Lock()
+	cfg.Seed = s.nextSeed
+	s.nextSeed += 2
+	s.mu.Unlock()
+
+	//hdlint:ignore ctxflow the launched run outlives the submitting HTTP request by design; deriving from r.Context() would cancel it on response
+	ctx := context.Background()
+	sampler, err := hdsampler.New(ctx, s.conn, cfg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	var rej *core.Rejector
-	if r.Form.Get("method") != "brute" {
-		// Slider 100 = most uniform in the UI; SliderC's s=1 is fastest,
-		// so invert.
-		c := core.SliderC(schema, attrs, s.k, 1-float64(sliderPos)/100)
-		if c < 1 {
-			rej = core.NewRejector(c, s.nextID+1)
-		}
+	ru := &run{
+		pipeline: sampler.NewPipeline(n),
+		acc:      estimate.NewAccumulator(schema, 20),
+		target:   n,
+		attrs:    attrs,
 	}
+	// Start before publishing the run, so a concurrent start or /stop only
+	// ever stops a started pipeline.
+	ch := ru.pipeline.Start(ctx)
 
 	s.mu.Lock()
 	if s.run != nil {
 		s.run.pipeline.Stop()
 	}
-	s.nextID += 2
-	ru := &run{
-		id:       s.nextID,
-		pipeline: core.NewPipeline(gen, rej, core.PipelineConfig{Target: n}),
-		acc:      estimate.NewAccumulator(schema, 20),
-		target:   n,
-		attrs:    attrs,
-	}
 	s.run = ru
 	s.mu.Unlock()
 
-	ch := ru.pipeline.Start(ctx)
 	go func() {
 		for sample := range ch {
 			ru.mu.Lock()

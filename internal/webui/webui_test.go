@@ -1,12 +1,14 @@
 package webui
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,6 +133,70 @@ func TestStartStatusAndCompletion(t *testing.T) {
 	if len(st.Recent) == 0 || len(st.Recent[0]) != 10 {
 		t.Fatalf("recent rows malformed: %d rows", len(st.Recent))
 	}
+}
+
+// slowSchemaConn answers Schema after a delay, like a form page fetched
+// over the network, so concurrent starts overlap while they build their
+// samplers.
+type slowSchemaConn struct{ formclient.Conn }
+
+func (c slowSchemaConn) Schema(ctx context.Context) (*hiddendb.Schema, error) {
+	time.Sleep(10 * time.Millisecond)
+	return c.Conn.Schema(ctx)
+}
+
+// TestConcurrentStarts posts /start from several goroutines at once. Each
+// start must take its seed and advance the run counter in one critical
+// section (the race detector checks the read), and the run that ends up
+// active must still complete.
+func TestConcurrentStarts(t *testing.T) {
+	ds := datagen.Vehicles(2000, 3)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ui := NewServer(slowSchemaConn{formclient.NewLocal(db)}, db.K())
+	srv := httptest.NewServer(ui)
+	t.Cleanup(srv.Close)
+
+	const starts = 8
+	var wg sync.WaitGroup
+	for i := 0; i < starts; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := srv.Client().PostForm(srv.URL+"/start", url.Values{
+				"n": {"20"}, "slider": {"0"}, "method": {"walk"}, "attr": {"0", "1"},
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("start status = %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	ui.mu.Lock()
+	next := ui.nextSeed
+	ui.mu.Unlock()
+	if next != 2*starts {
+		t.Fatalf("nextSeed = %d after %d starts, want %d", next, starts, 2*starts)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if st := getStatus(t, srv); st.Done {
+			if st.Error != "" || st.Accepted != 20 {
+				t.Fatalf("last run: accepted %d, error %q", st.Accepted, st.Error)
+			}
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatal("last run did not finish")
 }
 
 func TestKillSwitch(t *testing.T) {

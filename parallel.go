@@ -9,8 +9,6 @@ import (
 	"hdsampler/internal/core"
 	"hdsampler/internal/estimate"
 	"hdsampler/internal/hiddendb"
-	"hdsampler/internal/history"
-	"hdsampler/internal/queryexec"
 )
 
 // ReplicaSet is the replica machinery behind DrawParallel, exposed as a
@@ -19,12 +17,12 @@ import (
 // independent sampler replicas over the same connector, each with a
 // derived seed, drawing concurrently through per-replica pipelines.
 //
-// When cfg.UseHistory is set the replicas share one history cache, so any
-// worker's answers save every other worker's queries. If the connector
-// passed in is itself a *history.Cache the set adopts it instead of
-// wrapping a new one — that is how a service shares one cache per target
-// host across many concurrent ReplicaSets. The cache is sharded
-// internally, so replicas read it without serializing on a global lock.
+// The set draws through the connector it is given and adds no layer of
+// its own: pass a Stack's Conn to share its history cache and execution
+// layer across the replicas (and across every other set over the same
+// Stack — that is how a service shares one stack per target across many
+// concurrent ReplicaSets). The Stack's layers are safe for concurrent use
+// and the cache is sharded, so replicas never serialize on it.
 //
 // Each replica owns its generator and its acceptance/rejection processor
 // (seeded per replica), so no replica shares mutable sampler state with
@@ -34,10 +32,7 @@ import (
 // The combined sample is a fair mixture of independent samplers and keeps
 // the per-replica statistical guarantees.
 type ReplicaSet struct {
-	samplers []*Sampler
-	cache    *history.Cache
-	exec     *queryexec.Executor
-	savedAt0 int64
+	replicas []replica
 
 	mu        sync.Mutex
 	started   bool
@@ -49,73 +44,34 @@ type ReplicaSet struct {
 
 // NewReplicaSet builds `workers` sampler replicas over conn. Replica i
 // samples with seed cfg.Seed + i·7919, so runs with equal configurations
-// are reproducible.
+// are reproducible. The stack options in cfg (UseHistory, TrustCounts,
+// Exec) are not read: conn is the stack the replicas draw through.
 func NewReplicaSet(ctx context.Context, conn Conn, cfg Config, workers int) (*ReplicaSet, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("hdsampler: workers = %d, need >= 1", workers)
 	}
-	rs := &ReplicaSet{}
-	effective := conn
-	if hc, ok := conn.(*history.Cache); ok && cfg.UseHistory {
-		// Adopt the caller's (possibly shared) cache. Its stack is the
-		// caller's business — the jobsvc daemon already keeps a shared
-		// per-host executor below its caches — so no layer is inserted.
-		rs.cache = hc
-		effective = hc
-	} else {
-		// The execution layer serves the replicas jointly, so it wraps
-		// the shared connector here, below the shared cache: replicas
-		// racing one top-of-tree query coalesce on a single wire request.
-		if !cfg.Exec.Disable {
-			rs.exec = queryexec.New(conn, cfg.Exec.options())
-			effective = rs.exec
-		}
-		if cfg.UseHistory {
-			rs.cache = history.New(effective, history.Options{TrustCounts: cfg.TrustCounts})
-			effective = rs.cache
-		}
-	}
-	if rs.cache != nil {
-		rs.savedAt0 = rs.cache.CacheStats().Saved()
-	}
-	rs.samplers = make([]*Sampler, workers)
-	for i := range rs.samplers {
+	rs := &ReplicaSet{replicas: make([]replica, workers)}
+	for i := range rs.replicas {
 		wcfg := cfg
-		wcfg.Seed = cfg.Seed + int64(i)*7919  // distinct streams per worker
-		wcfg.UseHistory = false               // the shared cache sits below
-		wcfg.Exec = ExecConfig{Disable: true} // the shared executor, too
-		s, err := New(ctx, effective, wcfg)
+		wcfg.Seed = cfg.Seed + int64(i)*7919 // distinct streams per worker
+		r, err := newReplica(ctx, conn, wcfg)
 		if err != nil {
 			return nil, err
 		}
-		rs.samplers[i] = s
+		rs.replicas[i] = r
 	}
 	return rs, nil
 }
 
 // Workers returns the replica count.
-func (rs *ReplicaSet) Workers() int { return len(rs.samplers) }
-
-// Cache returns the history cache the replicas share (adopted or owned),
-// or nil when the set runs without history.
-func (rs *ReplicaSet) Cache() *history.Cache { return rs.cache }
-
-// ExecStats returns the shared execution layer's counters; ok is false
-// when the set runs without the layer (Exec.Disable, or an adopted cache
-// whose stack the caller owns).
-func (rs *ReplicaSet) ExecStats() (ExecStats, bool) {
-	if rs.exec == nil {
-		return ExecStats{}, false
-	}
-	return rs.exec.ExecStats(), true
-}
+func (rs *ReplicaSet) Workers() int { return len(rs.replicas) }
 
 // Schema returns the target database's discovered schema.
-func (rs *ReplicaSet) Schema() *Schema { return rs.samplers[0].Schema() }
+func (rs *ReplicaSet) Schema() *Schema { return rs.replicas[0].Schema() }
 
 // C returns the effective rejection target of the replicas (they share
 // one configuration, so replica 0 speaks for all).
-func (rs *ReplicaSet) C() float64 { return rs.samplers[0].C() }
+func (rs *ReplicaSet) C() float64 { return rs.replicas[0].C() }
 
 // Draw collects n accepted samples across the replicas. It may be called
 // once per ReplicaSet. On error or cancellation it returns the samples
@@ -132,7 +88,7 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 
 	// Split the target across replicas; replicas with a zero quota stay
 	// idle (a pipeline target of 0 would run unbounded).
-	quota := make([]int, len(rs.samplers))
+	quota := make([]int, len(rs.replicas))
 	for i := 0; i < n; i++ {
 		quota[i%len(quota)]++
 	}
@@ -144,13 +100,13 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
-	for i, s := range rs.samplers {
+	for i, r := range rs.replicas {
 		if quota[i] == 0 {
 			continue
 		}
 		// Start before publishing the pipeline, so concurrent Progress
 		// calls only ever observe started pipelines.
-		p := s.NewPipeline(quota[i])
+		p := r.NewPipeline(quota[i])
 		ch := p.Start(ctx)
 		rs.mu.Lock()
 		rs.pipelines = append(rs.pipelines, p)
@@ -193,7 +149,9 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 }
 
 // Progress returns a live statistics snapshot; safe to call from any
-// goroutine while Draw runs, and after it returns.
+// goroutine while Draw runs, and after it returns. The stack's savings
+// (QueriesSaved, QueriesCoalesced, QueriesRetried) are the Stack's to
+// report, so they stay zero here.
 func (rs *ReplicaSet) Progress() Stats {
 	rs.mu.Lock()
 	pipelines := rs.pipelines
@@ -211,14 +169,6 @@ func (rs *ReplicaSet) Progress() Stats {
 		st.Rejected += pr.Rejected
 		st.Queries += pr.Queries
 	}
-	if rs.cache != nil {
-		st.QueriesSaved = rs.cache.CacheStats().Saved() - rs.savedAt0
-	}
-	if rs.exec != nil {
-		xs := rs.exec.ExecStats()
-		st.QueriesCoalesced = xs.Coalesced
-		st.QueriesRetried = xs.TransientRetries
-	}
 	return st
 }
 
@@ -235,25 +185,27 @@ func (rs *ReplicaSet) Samples() []Sample {
 
 // DrawParallel collects n accepted samples using `workers` independent
 // sampler replicas over the same connector (each with a derived seed), the
-// natural way to exploit a site that tolerates concurrent clients. When
-// cfg.UseHistory is set the replicas share one history cache, so any
-// worker's answers save every other worker's queries. It is a one-shot
-// convenience over NewReplicaSet.
+// natural way to exploit a site that tolerates concurrent clients. The
+// replicas share one Stack — one execution layer, and with cfg.UseHistory
+// one history cache, so any worker's answers save every other worker's
+// queries. It is a one-shot convenience over NewStack and NewReplicaSet.
 func DrawParallel(ctx context.Context, conn Conn, cfg Config, n, workers int) ([]Tuple, Stats, error) {
 	if workers < 1 {
 		return nil, Stats{}, fmt.Errorf("hdsampler: workers = %d, need >= 1", workers)
 	}
 	if n < workers {
 		// More replicas than samples would leave idle workers; a single
-		// replica (still through the ReplicaSet, so an injected cache is
-		// adopted rather than double-wrapped) is equivalent.
+		// replica is equivalent.
 		workers = 1
 	}
-	rs, err := NewReplicaSet(ctx, conn, cfg, workers)
+	st := cfg.stack(conn)
+	rs, err := NewReplicaSet(ctx, st.Conn(), cfg, workers)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return rs.Draw(ctx, n)
+	tuples, stats, err := rs.Draw(ctx, n)
+	st.fill(&stats, Stats{})
+	return tuples, stats, err
 }
 
 // Crawl exhaustively extracts every reachable tuple through the interface —

@@ -10,6 +10,7 @@ import (
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/history"
+	"hdsampler/internal/queryexec"
 )
 
 func TestDrawParallel(t *testing.T) {
@@ -89,7 +90,7 @@ func TestDrawParallelContextCancellation(t *testing.T) {
 func TestReplicaSetLiveProgressAndSamples(t *testing.T) {
 	_, conn := localVehicles(t, 2000, 200, hiddendb.CountNone)
 	ctx := context.Background()
-	rs, err := NewReplicaSet(ctx, conn, Config{Seed: 7, Slider: 1, UseHistory: true}, 3)
+	rs, err := NewReplicaSet(ctx, conn, Config{Seed: 7, Slider: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,38 +122,34 @@ func TestReplicaSetLiveProgressAndSamples(t *testing.T) {
 	}
 }
 
+// TestReplicaSetAdoptsInjectedCache runs two ReplicaSets over one Stack's
+// conn: the second draws on the first one's answers through the shared
+// cache.
 func TestReplicaSetAdoptsInjectedCache(t *testing.T) {
 	_, conn := localVehicles(t, 2000, 200, hiddendb.CountNone)
 	ctx := context.Background()
-	shared := history.New(conn, history.Options{})
-	cfg := Config{Seed: 11, Slider: 1, UseHistory: true}
+	st := NewStack(conn, queryexec.Options{}, &history.Options{})
+	cfg := Config{Seed: 11, Slider: 1}
 
-	rs1, err := NewReplicaSet(ctx, shared, cfg, 2)
+	rs1, err := NewReplicaSet(ctx, st.Conn(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := rs1.Draw(ctx, 40); err != nil {
 		t.Fatal(err)
 	}
-	warm := shared.CacheStats()
+	warm := st.Cache().CacheStats()
 
-	// A second set over the same cache draws on the first set's answers;
-	// its QueriesSaved counts only its own run.
 	cfg.Seed = 12
-	rs2, err := NewReplicaSet(ctx, shared, cfg, 2)
+	rs2, err := NewReplicaSet(ctx, st.Conn(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := rs2.Draw(ctx, 40)
-	if err != nil {
+	if _, _, err := rs2.Draw(ctx, 40); err != nil {
 		t.Fatal(err)
 	}
-	if stats.QueriesSaved == 0 {
+	if saved := st.Cache().CacheStats().Saved() - warm.Saved(); saved == 0 {
 		t.Fatal("second replica set saw no savings from the shared cache")
-	}
-	total := shared.CacheStats()
-	if got, want := stats.QueriesSaved, total.Saved()-warm.Saved(); got != want {
-		t.Fatalf("QueriesSaved = %d, want the run's delta %d", got, want)
 	}
 }
 

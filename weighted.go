@@ -19,10 +19,7 @@ type WeightedSet = estimate.WeightedSet
 func (s *Sampler) DrawWeighted(ctx context.Context, n int) (*WeightedSet, Stats, error) {
 	ws := &WeightedSet{}
 	startQueries := s.gen.GenStats().Queries
-	var savedAt0 int64
-	if s.cache != nil {
-		savedAt0 = s.cache.CacheStats().Saved()
-	}
+	m := s.stack.mark()
 	var st Stats
 	for len(ws.Samples) < n {
 		if err := ctx.Err(); err != nil {
@@ -38,10 +35,8 @@ func (s *Sampler) DrawWeighted(ctx context.Context, n int) (*WeightedSet, Stats,
 		ws.Add(cand.Tuple, cand.Reach, cand.Restarts)
 	}
 	st.Queries = s.gen.GenStats().Queries - startQueries
-	if s.cache != nil {
-		// Per-call delta, like Draw: consecutive calls must not
-		// double-report the cache's cumulative savings.
-		st.QueriesSaved = s.cache.CacheStats().Saved() - savedAt0
-	}
+	// Per-call deltas, like Draw: consecutive calls must not double-report
+	// the stack's cumulative savings.
+	s.stack.fill(&st, m)
 	return ws, st, nil
 }

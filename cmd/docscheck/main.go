@@ -57,7 +57,7 @@ func main() {
 
 // skipDirs are directories that never contain checked packages.
 var skipDirs = map[string]bool{
-	".git": true, "testdata": true, ".hdlint-cache": true, ".github": true,
+	".git": true, "testdata": true, ".github": true,
 }
 
 // checkPackageComments walks root for Go packages and reports every

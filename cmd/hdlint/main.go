@@ -1,9 +1,6 @@
-// Command hdlint is the repo's multichecker: it machine-checks the
-// by-convention invariants the codebase relies on (Result immutability,
-// nil-safe telemetry instruments, allocation-free hot paths, unmixed
-// atomics, errors.Is on sentinels) and the interprocedural ones built on
-// the call-graph/facts engine (lock-order cycles, goroutine termination,
-// context threading, zero-cost telemetry guards). It loads packages with
+// Command hdlint is the repo's multichecker: it machine-checks three
+// by-convention invariants the codebase relies on — Result immutability,
+// errors.Is on sentinels, and context threading. It loads packages with
 // the stdlib-only loader in internal/lint — no cmd/go, no external deps —
 // and exits non-zero when any finding survives //hdlint:ignore
 // suppression.
@@ -12,35 +9,18 @@
 //
 //	go run ./cmd/hdlint ./...
 //	go run ./cmd/hdlint -list
-//	go run ./cmd/hdlint -only lockorder,goleak,ctxflow,zerocost ./...
-//	go run ./cmd/hdlint -json ./... | jq .
-//	go run ./cmd/hdlint -C some/module -cache ~/.cache/hdlint ./...
-//
-// Requested packages are loaded together with their in-module
-// dependencies (as silent facts-only units), so interprocedural findings
-// are identical whether a package is named directly, reached through a
-// dependency edge, or both — each package is analyzed exactly once.
-//
-// -cache keys a result cache on the content of every Go source file in
-// the module plus the invocation flags: CI jobs sharing the cache
-// directory skip the type-check and analysis entirely when nothing
-// changed.
+//	go run ./cmd/hdlint -C some/module ./...
 //
 // See internal/lint/doc.go and the README's "Static analysis" section
-// for what each analyzer enforces and how to annotate or suppress.
+// for what each analyzer enforces and how to suppress a finding.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"hdsampler/internal/lint"
@@ -50,30 +30,11 @@ func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// jsonDiag is the -json wire form of one finding; File is module-root
-// relative with forward slashes.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// cacheEntry is one memoized invocation result.
-type cacheEntry struct {
-	Code   int    `json:"code"`
-	Stdout string `json:"stdout"`
-}
-
 func run(stdout, stderr io.Writer, args []string) int {
 	fs := flag.NewFlagSet("hdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer subset to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	chdir := fs.String("C", "", "analyze the module containing this directory instead of the working directory")
-	cacheDir := fs.String("cache", "", "directory for the result cache keyed on module sources and flags")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,21 +45,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := byName[strings.TrimSpace(name)]
-			if a == nil {
-				fmt.Fprintf(stderr, "hdlint: unknown analyzer %q (try -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()
@@ -121,70 +67,22 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 
-	var cacheFile string
-	if *cacheDir != "" {
-		key, err := cacheKey(modRoot, *only, *asJSON, patterns)
-		if err != nil {
-			fmt.Fprintln(stderr, "hdlint: cache key:", err)
-		} else {
-			cacheFile = filepath.Join(*cacheDir, key+".json")
-			if data, err := os.ReadFile(cacheFile); err == nil {
-				var ent cacheEntry
-				if json.Unmarshal(data, &ent) == nil {
-					io.WriteString(stdout, ent.Stdout)
-					fmt.Fprintln(stderr, "hdlint: cache hit")
-					return ent.Code
-				}
-			}
-		}
-	}
-
 	loader := lint.NewLoader(lint.Root{Prefix: modPath, Dir: modRoot})
-	units, err := loader.LoadPatternsWithDeps(patterns...)
+	units, err := loader.LoadPatterns(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "hdlint: load:", err)
 		return 2
 	}
 	diags := lint.Run(units, loader.Fset, analyzers)
-
-	var out strings.Builder
-	if *asJSON {
-		arr := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			arr = append(arr, jsonDiag{
-				Analyzer: d.Analyzer,
-				File:     relFile(modRoot, d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc, err := json.MarshalIndent(arr, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, "hdlint:", err)
-			return 2
-		}
-		out.Write(enc)
-		out.WriteByte('\n')
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(&out, "%s:%d:%d: %s (%s)\n",
-				relFile(modRoot, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n",
+			relFile(modRoot, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 	}
-	io.WriteString(stdout, out.String())
-
-	code := 0
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "hdlint: %d finding(s)\n", len(diags))
-		code = 1
+		return 1
 	}
-	if cacheFile != "" {
-		if err := writeCache(cacheFile, cacheEntry{Code: code, Stdout: out.String()}); err != nil {
-			fmt.Fprintln(stderr, "hdlint: cache write:", err)
-		}
-	}
-	return code
+	return 0
 }
 
 // relFile renders a diagnostic filename relative to the module root with
@@ -195,65 +93,4 @@ func relFile(modRoot, name string) string {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(name)
-}
-
-// cacheKey hashes the invocation (analyzer subset, output mode,
-// patterns) and the content of go.mod plus every .go file under the
-// module (skipping testdata, hidden and underscore directories, and
-// nested modules). Analyzer implementations live in this same module, so
-// changes to the lint engine change the key too.
-func cacheKey(modRoot, only string, asJSON bool, patterns []string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "only=%s json=%v patterns=%s\n", only, asJSON, strings.Join(patterns, ","))
-	var files []string
-	err := filepath.WalkDir(modRoot, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != modRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if p != modRoot {
-				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-					return filepath.SkipDir
-				}
-			}
-			return nil
-		}
-		if strings.HasSuffix(p, ".go") || d.Name() == "go.mod" {
-			files = append(files, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return "", err
-		}
-		rel, _ := filepath.Rel(modRoot, f)
-		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func writeCache(file string, ent cacheEntry) error {
-	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-		return err
-	}
-	data, err := json.Marshal(ent)
-	if err != nil {
-		return err
-	}
-	tmp := file + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, file)
 }

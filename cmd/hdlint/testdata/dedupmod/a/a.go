@@ -1,6 +1,6 @@
 // Package a carries one deliberate ctxflow finding for the
-// deduplication and facts-only regression tests: it is loaded both as a
-// requested pattern and as a dependency of package b.
+// deduplication regression test: it is loaded both as a requested
+// pattern and as an import of package b.
 package a
 
 import "context"

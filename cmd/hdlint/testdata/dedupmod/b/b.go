@@ -1,5 +1,5 @@
 // Package b imports a, so analyzing ./a and ./b together loads a twice
-// over (pattern match plus dependency edge) — the finding in a must
+// over (pattern match plus import edge) — the finding in a must
 // still print exactly once.
 package b
 

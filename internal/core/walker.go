@@ -129,14 +129,11 @@ func (w *Walker) Candidate(ctx context.Context) (*Candidate, error) {
 
 // walkOnce performs one drill-down, recording per-level spans on tr when
 // the draw is traced. It returns (nil, queries, nil) on a dead end.
-//
-//hdlint:hotpath
 func (w *Walker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int) (*Candidate, int, error) {
 	w.stats.walks.Add(1)
 	order := w.attrs
 	if w.cfg.Order == OrderShuffle {
 		copy(w.orderBuf, w.attrs)
-		//hdlint:ignore hotpath the swap closure is passed to rand.Shuffle and never escapes; Go allocates it on the stack
 		w.rng.Shuffle(len(w.orderBuf), func(i, j int) { w.orderBuf[i], w.orderBuf[j] = w.orderBuf[j], w.orderBuf[i] })
 		order = w.orderBuf
 	}
@@ -195,8 +192,6 @@ func (w *Walker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int
 // insertPred inserts p into an attribute-sorted scratch slice, keeping it
 // in canonical order; the walk adds attributes in (possibly shuffled)
 // walk order, so the insertion point can be anywhere.
-//
-//hdlint:hotpath
 func insertPred(preds []hiddendb.Predicate, p hiddendb.Predicate) []hiddendb.Predicate {
 	preds = append(preds, p)
 	i := len(preds) - 1
@@ -209,11 +204,10 @@ func insertPred(preds []hiddendb.Predicate, p hiddendb.Predicate) []hiddendb.Pre
 }
 
 // pick selects one returned row uniformly and packages the candidate.
-//
-//hdlint:hotpath
 func (w *Walker) pick(res *hiddendb.Result, pathProb float64, depth int) *Candidate {
 	idx := w.rng.Intn(len(res.Tuples))
-	//hdlint:ignore hotpath the candidate is the walk's product and outlives the draw; one &Candidate (plus its Clone) per successful walk is the documented budget
+	// The candidate is the walk's product and outlives the draw: one
+	// &Candidate plus its Clone per successful walk.
 	return &Candidate{
 		Tuple: res.Tuples[idx].Clone(),
 		Reach: pathProb / float64(len(res.Tuples)),

@@ -225,8 +225,6 @@ func (c *container) foldAndBitmap(o *container) {
 
 // andWords is the word-level AND kernel: a &= b across the 1024-word
 // block, returning the surviving cardinality via bits.OnesCount64.
-//
-//hdlint:hotpath
 func andWords(a, b []uint64) int32 {
 	a = a[:containerWords]
 	b = b[:containerWords]

@@ -24,8 +24,6 @@ func (b *Bitmap) Iterator() Iterator {
 }
 
 // Next returns the next value in ascending order.
-//
-//hdlint:hotpath
 func (it *Iterator) Next() (uint32, bool) {
 	for it.ci < len(it.b.cts) {
 		c := &it.b.cts[it.ci]

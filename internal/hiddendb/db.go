@@ -281,8 +281,6 @@ func (db *DB) ResetBudget() { db.queries.Store(0) }
 // The returned tuples share the database's immutable backing storage —
 // callers must treat Result.Tuples as read-only and Clone tuples they
 // intend to own (see Result's documentation).
-//
-//hdlint:hotpath
 func (db *DB) Execute(q Query) (*Result, error) {
 	if err := q.ValidateAgainst(db.schema); err != nil {
 		return nil, err
@@ -303,7 +301,8 @@ func (db *DB) Execute(q Query) (*Result, error) {
 	} else {
 		matchPos, total = db.matchBitmap(sc, q, db.cfg.K+1, needTotal)
 	}
-	//hdlint:ignore hotpath the answer's documented two-allocation budget: the Result header here plus its Tuples slice below
+	// The answer's two-allocation budget: the Result header here plus its
+	// Tuples slice below.
 	res := &Result{Count: CountAbsent}
 	if total > db.cfg.K {
 		res.Overflow = true
@@ -334,8 +333,6 @@ func (db *DB) Execute(q Query) (*Result, error) {
 // binary search over the bracketed window, so a candidate costs O(log gap)
 // rather than a fresh O(log n) binary search — and an exhausted list ends
 // the whole scan early, since no later candidate can match.
-//
-//hdlint:hotpath
 func (db *DB) matchPositions(sc *matchScratch, q Query, limit int, needTotal bool) (pos []int32, total int) {
 	d := q.Len()
 	if d == 0 {
@@ -388,8 +385,6 @@ outer:
 // matchAll answers the empty (predicate-free) query shared by both
 // posting backends: every tuple matches, so the first limit rank
 // positions are simply 0..limit-1.
-//
-//hdlint:hotpath
 func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
 	total = len(db.tuples)
 	n := total
@@ -412,8 +407,6 @@ func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
 // contract); otherwise the intersection early-exits once limit values
 // are known, and total is only guaranteed to be ≥ limit or exact —
 // still enough to decide overflow at limit = K+1.
-//
-//hdlint:hotpath
 func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) (pos []int32, total int) {
 	d := q.Len()
 	if d == 0 {
@@ -441,8 +434,6 @@ func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) 
 
 // materialize copies the first limit values of b into sc.out as rank
 // positions.
-//
-//hdlint:hotpath
 func (db *DB) materialize(sc *matchScratch, b *bitmap.Bitmap, limit, total int) (pos []int32, n int) {
 	k := b.Cardinality()
 	if k > limit {
@@ -465,8 +456,6 @@ func (db *DB) materialize(sc *matchScratch, b *bitmap.Bitmap, limit, total int) 
 // assuming l ascending. It probes exponentially from lo, then binary
 // searches the bracketed window, so advancing a cursor over a small gap is
 // O(log gap) with mostly-local memory accesses.
-//
-//hdlint:hotpath
 func gallop(l []int32, lo int, x int32) int {
 	if lo >= len(l) || l[lo] >= x {
 		return lo

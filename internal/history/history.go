@@ -196,7 +196,9 @@ func (c *Cache) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	if s := c.schema.Load(); s != nil {
 		return s, nil
 	}
-	//hdlint:ignore lockorder hdsampler.NewStack, the only production builder of a cache, always puts it directly over a queryexec.Executor — inner is never another history.Cache, so this interface call cannot reenter schemaMu
+	// hdsampler.NewStack, the only production builder of a cache, always
+	// puts it directly over a queryexec.Executor — inner is never another
+	// history.Cache, so this interface call cannot reenter schemaMu.
 	s, err := c.inner.Schema(ctx)
 	if err != nil {
 		return nil, err
@@ -246,8 +248,6 @@ func (c *Cache) ShardStats() []ShardStat {
 // lookupScratch probes a cache slot by a scratch-built signature (hash
 // plus key bytes), touching the CLOCK bit on a hit. The entry is immutable,
 // so using it after the lock is dropped is safe.
-//
-//hdlint:hotpath
 func (c *Cache) lookupScratch(hash uint64, key []byte) *entry {
 	sh := c.shardFor(hash)
 	sh.mu.RLock()
@@ -260,8 +260,6 @@ func (c *Cache) lookupScratch(hash uint64, key []byte) *entry {
 }
 
 // Execute implements formclient.Conn.
-//
-//hdlint:hotpath
 func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	schema, err := c.Schema(ctx)
 	if err != nil {
@@ -322,10 +320,7 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 // result materializes an entry as a Result. The rows are shared with the
 // immutable entry, per the Result read-only convention — a rule-1 hit
 // costs one allocation, not a deep copy of up to k tuples.
-//
-//hdlint:hotpath
 func (e *entry) result() *hiddendb.Result {
-	//hdlint:ignore hotpath the one documented allocation of a rule-1 hit: a Result header sharing the entry's immutable rows
 	return &hiddendb.Result{Overflow: e.overflow, Count: e.count, Tuples: e.tuples}
 }
 

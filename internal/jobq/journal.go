@@ -544,7 +544,8 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	err := j.f.Sync()
-	//hdlint:ignore lockorder j.f is a segment File (os.File or a fault wrapper), never a Journal — this interface Close cannot reenter mu
+	// j.f is a segment File (os.File or a fault wrapper), never a Journal
+	// — this interface Close cannot reenter mu.
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

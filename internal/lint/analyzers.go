@@ -5,13 +5,7 @@ package lint
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ResultImmutAnalyzer,
-		NilSafeAnalyzer,
-		HotPathAnalyzer,
-		AtomicMixAnalyzer,
 		ErrTransientAnalyzer,
-		LockOrderAnalyzer,
-		GoLeakAnalyzer,
 		CtxFlowAnalyzer,
-		ZeroCostAnalyzer,
 	}
 }

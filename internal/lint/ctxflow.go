@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -11,53 +10,35 @@ import (
 // must flow from the edges of the program inward, never be invented
 // mid-stack.
 //
-// Two rules. First, context.Background() and context.TODO() are banned
-// outside package main, init functions, and _test.go files — library code
-// that conjures a root context detaches itself from caller cancellation
-// and deadlines. A deliberate root (a connection that outlives the
-// request, a job tree's anchor) takes an //hdlint:ignore ctxflow with the
-// reason. Second, a function already holding a context.Context parameter
-// may not launder the ban through a wrapper: functions returning a fresh
-// root context are marked with a fact (the direct Background call inside
-// them is where the reasoned ignore lives), and a ctx-holding caller that
-// invokes one is flagged — it has a context and is discarding it, which
-// no local reason can justify.
+// context.Background() and context.TODO() are banned outside package
+// main, init functions, and _test.go files — library code that conjures
+// a root context detaches itself from caller cancellation and deadlines.
+// A deliberate root (a connection that outlives the request, a job
+// tree's anchor) takes an //hdlint:ignore ctxflow with the reason. A
+// function already holding a context.Context parameter may not mint a
+// fresh root anywhere, package main included: it has a context and is
+// discarding it.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
-	Doc: "context.Background/TODO banned outside main/init/tests; functions holding " +
-		"a ctx must not call root-context wrappers (tracked via facts) — thread the ctx",
+	Doc: "context.Background/TODO banned outside main/init/tests, and in any " +
+		"function holding a ctx — thread the ctx",
 	Run: runCtxFlow,
 }
 
-// CtxRootFact marks a function that returns a fresh root context
-// (context.Background/TODO, directly or through another marked wrapper).
-type CtxRootFact struct {
-	Pos token.Position
-}
-
-// AFact marks CtxRootFact as a fact.
-func (*CtxRootFact) AFact() {}
-
 func runCtxFlow(pass *Pass) {
-	// First sub-pass: export root-wrapper facts for the whole unit, so
-	// same-package callers (declared in any order) see them in the second.
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			exportCtxRoot(pass, fd)
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			// Tests stand at the edge of the program: fresh roots are
+			// their job, and test helpers are not part of the
+			// cancellation tree.
+			continue
 		}
-	}
-	for _, f := range pass.Files {
-		testFile := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkCtxFlow(pass, fd, testFile)
+			checkCtxFlow(pass, fd)
 		}
 	}
 }
@@ -67,7 +48,7 @@ func isCtxType(t types.Type) bool { return isPkgType(t, "context", "Context") }
 // ctxRootCall recognizes context.Background() / context.TODO(),
 // returning the function's name.
 func ctxRootCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
@@ -83,54 +64,6 @@ func ctxRootCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	return sel.Sel.Name, true
-}
-
-// exportCtxRoot marks fd with CtxRootFact when it returns context.Context
-// and its body creates a root context — directly or via an already-marked
-// wrapper (cross-package wrappers are marked by the time this unit runs;
-// same-package chains resolve one level per declaration pass, which
-// covers the direct-wrapper shape).
-func exportCtxRoot(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Type.Results == nil {
-		return
-	}
-	returnsCtx := false
-	for _, fld := range fd.Type.Results.List {
-		if t := pass.Info.Types[fld.Type].Type; t != nil && isCtxType(t) {
-			returnsCtx = true
-		}
-	}
-	if !returnsCtx {
-		return
-	}
-	var rootPos token.Pos = token.NoPos
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if rootPos.IsValid() {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if _, ok := ctxRootCall(pass.Info, call); ok {
-			rootPos = call.Pos()
-			return false
-		}
-		if fn := staticCallee(pass.Info, call); fn != nil {
-			var fact CtxRootFact
-			if pass.ImportObjectFact(fn, &fact) {
-				rootPos = call.Pos()
-				return false
-			}
-		}
-		return true
-	})
-	if rootPos.IsValid() {
-		obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-		if obj != nil {
-			pass.ExportObjectFact(obj, &CtxRootFact{Pos: pass.Fset.Position(rootPos)})
-		}
-	}
 }
 
 // ctxParamName returns the name of fd's context.Context parameter, if
@@ -149,12 +82,7 @@ func ctxParamName(pass *Pass, fd *ast.FuncDecl) (string, bool) {
 	return "", false
 }
 
-func checkCtxFlow(pass *Pass, fd *ast.FuncDecl, testFile bool) {
-	if testFile {
-		// Tests stand at the edge of the program: fresh roots are their
-		// job, and test helpers are not part of the cancellation tree.
-		return
-	}
+func checkCtxFlow(pass *Pass, fd *ast.FuncDecl) {
 	rootAllowed := pass.Pkg.Name() == "main" || fd.Name.Name == "init"
 	ctxName, holdsCtx := ctxParamName(pass, fd)
 
@@ -163,29 +91,19 @@ func checkCtxFlow(pass *Pass, fd *ast.FuncDecl, testFile bool) {
 		if !ok {
 			return true
 		}
-		if name, ok := ctxRootCall(pass.Info, call); ok {
-			switch {
-			case holdsCtx:
-				pass.Reportf(call.Pos(),
-					"context.%s() discards the in-scope context %q; derive from it (or document the detachment: //hdlint:ignore ctxflow <reason>)",
-					name, ctxName)
-			case !rootAllowed:
-				pass.Reportf(call.Pos(),
-					"context.%s() outside main, init, or tests: accept a caller's context, or document the fresh root with //hdlint:ignore ctxflow <reason>",
-					name)
-			}
+		name, ok := ctxRootCall(pass.Info, call)
+		if !ok {
 			return true
 		}
-		if !holdsCtx {
-			return true
-		}
-		if fn := staticCallee(pass.Info, call); fn != nil {
-			var fact CtxRootFact
-			if pass.ImportObjectFact(fn, &fact) {
-				pass.Reportf(call.Pos(),
-					"call to %s discards the in-scope context %q: it returns a fresh root context (created at %s); derive from %q instead",
-					fn.Name(), ctxName, fact.Pos, ctxName)
-			}
+		switch {
+		case holdsCtx:
+			pass.Reportf(call.Pos(),
+				"context.%s() discards the in-scope context %q; derive from it (or document the detachment: //hdlint:ignore ctxflow <reason>)",
+				name, ctxName)
+		case !rootAllowed:
+			pass.Reportf(call.Pos(),
+				"context.%s() outside main, init, or tests: accept a caller's context, or document the fresh root with //hdlint:ignore ctxflow <reason>",
+				name)
 		}
 		return true
 	})

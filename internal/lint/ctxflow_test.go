@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	linttest.Run(t, lint.CtxFlowAnalyzer, "ctxroot", "ctxflow", "ctxflowmain")
+	linttest.Run(t, lint.CtxFlowAnalyzer, "ctxflow", "ctxflowmain")
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -91,74 +90,29 @@ func collectIgnores(units []*Package, fset *token.FileSet, known map[string]bool
 	return dirs, bad
 }
 
-// Run executes every analyzer over every unit in dependency order (so
-// facts exported for a package are visible to the units importing it),
-// runs each analyzer's Finish phase, applies //hdlint:ignore suppression,
-// drops findings positioned in facts-only dependency units, and returns
-// the survivors sorted by position.
+// Run executes every analyzer over every unit, applies //hdlint:ignore
+// suppression, and returns the surviving findings sorted by position.
 func Run(units []*Package, fset *token.FileSet, analyzers []*Analyzer) []Diagnostic {
-	units = topoUnits(units)
-	run := &RunInfo{
-		Units:  units,
-		Fset:   fset,
-		Graph:  BuildCallGraph(units),
-		facts:  newFactStore(),
-		states: make(map[string]any),
-	}
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
 	for _, u := range units {
 		for _, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     fset,
 				Files:    u.Files,
 				Pkg:      u.Pkg,
 				Info:     u.Info,
-				Unit:     u,
-				run:      run,
 				report:   report,
-			}
-			a.Run(pass)
+			})
 		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(&Finish{Analyzer: a, Run: run, report: report})
-		}
-	}
-
-	// Findings are only reported in the packages the caller asked for;
-	// units loaded solely to supply facts stay silent.
-	reportable := make(map[string]bool)
-	factsOnly := false
-	for _, u := range units {
-		if u.FactsOnly {
-			factsOnly = true
-			continue
-		}
-		for _, f := range u.Files {
-			reportable[fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	if factsOnly {
-		kept := raw[:0]
-		for _, d := range raw {
-			if reportable[d.Pos.Filename] {
-				kept = append(kept, d)
-			}
-		}
-		raw = kept
 	}
 
 	// Directive names are validated against the full registry, not the
-	// subset being run: an //hdlint:ignore naming an analyzer that is
-	// merely switched off this invocation is well-formed, just inert.
+	// subset being run: a corpus test runs one analyzer, and an
+	// //hdlint:ignore naming another one is well-formed, just inert.
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	ignores, bad := collectIgnores(units, fset, known)
@@ -176,66 +130,4 @@ func Run(units []*Package, fset *token.FileSet, analyzers []*Analyzer) []Diagnos
 		}
 	}
 	return sortDiagnostics(append(kept, bad...))
-}
-
-// topoUnits orders units so that every unit follows the units it imports
-// — the precondition for fact flow. Ties and cycles (possible only
-// through test files) fall back to path order.
-func topoUnits(units []*Package) []*Package {
-	byPath := make(map[string]*Package, len(units))
-	for _, u := range units {
-		byPath[u.Path] = u
-	}
-	indeg := make(map[*Package]int, len(units))
-	dependents := make(map[*Package][]*Package, len(units))
-	for _, u := range units {
-		indeg[u] += 0
-		for _, imp := range u.Pkg.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok && dep != u {
-				dependents[dep] = append(dependents[dep], u)
-				indeg[u]++
-			}
-		}
-	}
-	// Kahn's algorithm with a sorted frontier for determinism.
-	var frontier []*Package
-	for _, u := range units {
-		if indeg[u] == 0 {
-			frontier = append(frontier, u)
-		}
-	}
-	sortUnits(frontier)
-	out := make([]*Package, 0, len(units))
-	for len(frontier) > 0 {
-		u := frontier[0]
-		frontier = frontier[1:]
-		out = append(out, u)
-		var freed []*Package
-		for _, d := range dependents[u] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				freed = append(freed, d)
-			}
-		}
-		sortUnits(freed)
-		frontier = append(frontier, freed...)
-	}
-	if len(out) < len(units) {
-		// Cycle: append the stragglers in path order and analyze anyway —
-		// facts inside the cycle may be incomplete, which the analyzers
-		// treat conservatively.
-		var rest []*Package
-		for _, u := range units {
-			if indeg[u] > 0 {
-				rest = append(rest, u)
-			}
-		}
-		sortUnits(rest)
-		out = append(out, rest...)
-	}
-	return out
-}
-
-func sortUnits(us []*Package) {
-	sort.Slice(us, func(i, j int) bool { return us[i].Path < us[j].Path })
 }

@@ -8,8 +8,7 @@ import (
 	"sort"
 )
 
-// An Analyzer checks one invariant over a single package, optionally
-// finishing with a whole-program phase once every package has been seen.
+// An Analyzer checks one invariant over a single package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //hdlint:ignore directives. Lowercase, no spaces.
@@ -17,13 +16,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Run inspects one package and reports findings through the pass.
-	// Interprocedural analyzers also export facts here for later units
-	// (units are visited in dependency order) and for Finish.
 	Run func(*Pass)
-	// Finish, when non-nil, runs once after every unit's Run — the place
-	// to assemble per-function facts into whole-program structures (the
-	// global lock graph, goroutine-termination closure) and report.
-	Finish func(*Finish)
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -34,10 +27,7 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Unit is the analysis unit behind this pass.
-	Unit *Package
 
-	run    *RunInfo
 	report func(Diagnostic)
 }
 
@@ -48,68 +38,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Graph returns the run's conservative static call graph.
-func (p *Pass) Graph() *CallGraph { return p.run.Graph }
-
-// State returns this analyzer's run-wide scratch state, creating it with
-// init on first use — how Run passes hand partial work (pending go
-// sites, recorded call-with-lock-held sites) to Finish without globals.
-func (p *Pass) State(init func() any) any { return p.run.state(p.Analyzer.Name, init) }
-
-// A RunInfo is the shared context of one whole Run invocation: every
-// unit, the call graph over them, and the fact store.
-type RunInfo struct {
-	Units []*Package
-	Fset  *token.FileSet
-	Graph *CallGraph
-
-	facts  *factStore
-	states map[string]any
-}
-
-func (r *RunInfo) state(analyzer string, init func() any) any {
-	s, ok := r.states[analyzer]
-	if !ok {
-		s = init()
-		r.states[analyzer] = s
-	}
-	return s
-}
-
-// A Finish is an analyzer's whole-program phase, run once after every
-// unit. It reads facts and run state; its diagnostics carry positions
-// recorded earlier (facts store token.Position, not token.Pos, precisely
-// so Finish can report without syntax trees in hand).
-type Finish struct {
-	Analyzer *Analyzer
-	Run      *RunInfo
-
-	report func(Diagnostic)
-}
-
-// ReportAt records one finding at an already-resolved position.
-func (f *Finish) ReportAt(pos token.Position, format string, args ...any) {
-	f.report(Diagnostic{
-		Analyzer: f.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// State returns the analyzer's run-wide scratch state (see Pass.State).
-func (f *Finish) State(init func() any) any { return f.Run.state(f.Analyzer.Name, init) }
-
-// ImportObjectFact copies the fact stored under key into *ptr.
-func (f *Finish) ImportObjectFact(key string, ptr Fact) bool {
-	return f.Run.importObjectFact(f.Analyzer.Name, key, ptr)
-}
-
-// AllObjectFacts lists every fact of example's type this analyzer
-// exported during the run, sorted by object key.
-func (f *Finish) AllObjectFacts(example Fact) []ObjectFact {
-	return f.Run.allObjectFacts(f.Analyzer.Name, example)
 }
 
 // A Diagnostic is one reported finding, in file-position form so drivers

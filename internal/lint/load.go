@@ -34,11 +34,6 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// FactsOnly marks a unit loaded only because a requested package
-	// depends on it: it is analyzed so interprocedural facts (lock
-	// acquisition sets, goroutine termination, telemetry touches) exist
-	// for its functions, but its own findings are not reported.
-	FactsOnly bool
 }
 
 // A Loader parses and type-checks packages without cmd/go: module (and
@@ -296,76 +291,6 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 		units = append(units, us...)
 	}
 	return units, nil
-}
-
-// LoadPatternsWithDeps loads the pattern units plus, as facts-only
-// units, every root-resolvable package they transitively import that no
-// pattern matched. Interprocedural analyzers need their callees' facts
-// even when the caller's package alone was requested; diagnostics in the
-// extra units are suppressed by Run. Each package becomes exactly one
-// unit no matter how many patterns or import edges reach it — the
-// double-report class of bug is structurally excluded here.
-func (l *Loader) LoadPatternsWithDeps(patterns ...string) ([]*Package, error) {
-	units, err := l.LoadPatterns(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	have := make(map[string]bool, len(units))
-	var queue []string
-	for _, u := range units {
-		have[u.Path] = true
-	}
-	for _, u := range units {
-		for _, imp := range u.Pkg.Imports() {
-			queue = append(queue, imp.Path())
-		}
-	}
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		if have[path] {
-			continue
-		}
-		have[path] = true
-		dir, ok := l.resolve(path)
-		if !ok {
-			continue // standard library: no facts needed, none computable
-		}
-		u, err := l.loadFactUnit(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		if u == nil {
-			continue
-		}
-		units = append(units, u)
-		for _, imp := range u.Pkg.Imports() {
-			queue = append(queue, imp.Path())
-		}
-	}
-	return units, nil
-}
-
-// loadFactUnit typechecks a dependency's compiled files (no tests) as a
-// facts-only analysis unit.
-func (l *Loader) loadFactUnit(path, dir string) (*Package, error) {
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil, nil
-		}
-		return nil, err
-	}
-	files, err := l.parseFiles(dir, bp.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	info := newInfo()
-	pkg, err := l.check(path, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, FactsOnly: true}, nil
 }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)

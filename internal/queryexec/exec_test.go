@@ -132,22 +132,23 @@ func TestCoalesceDistinctKeysDoNotShare(t *testing.T) {
 	}
 }
 
-// errConn fails every execute with a caller-chosen error.
-type errConn struct {
+// fixedConn answers every execute with a caller-chosen result and error.
+type fixedConn struct {
 	schema *hiddendb.Schema
+	res    *hiddendb.Result
 	err    error
 }
 
-func (e *errConn) Schema(ctx context.Context) (*hiddendb.Schema, error) { return e.schema, nil }
-func (e *errConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
-	return nil, e.err
+func (c *fixedConn) Schema(ctx context.Context) (*hiddendb.Schema, error) { return c.schema, nil }
+func (c *fixedConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	return c.res, c.err
 }
-func (e *errConn) Stats() formclient.Stats { return formclient.Stats{} }
+func (c *fixedConn) Stats() formclient.Stats { return formclient.Stats{} }
 
 func TestErrorsPropagateToAllWaiters(t *testing.T) {
 	ds := datagen.Vehicles(50, 7)
 	boom := errors.New("boom")
-	x := New(&errConn{schema: ds.Schema, err: boom}, Options{})
+	x := New(&fixedConn{schema: ds.Schema, err: boom}, Options{})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

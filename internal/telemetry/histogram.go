@@ -19,8 +19,6 @@ const numBuckets = 40
 // non-positive samples. The zero value is ready to use, and a nil
 // *Histogram ignores observations, so instrumented code never branches
 // on configuration.
-//
-//hdlint:nilsafe
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
@@ -30,8 +28,6 @@ type Histogram struct {
 
 // Observe records one duration. It is atomic, allocation-free, and a
 // no-op on a nil receiver.
-//
-//hdlint:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
@@ -143,8 +139,6 @@ func (s HistogramSnapshot) Summary() Summary {
 // per-job). Hot paths call With once and keep the returned *Histogram;
 // With itself takes a mutex and is not for per-sample use. A nil
 // *HistogramVec returns nil histograms, which ignore observations.
-//
-//hdlint:nilsafe
 type HistogramVec struct {
 	label string
 

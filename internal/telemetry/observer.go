@@ -9,15 +9,11 @@ import (
 
 // Counter is a monotonically increasing counter. The zero value is ready
 // to use; a nil *Counter ignores increments.
-//
-//hdlint:nilsafe
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one; nil-safe, allocation-free.
-//
-//hdlint:hotpath
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
@@ -25,8 +21,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n; nil-safe.
-//
-//hdlint:hotpath
 func (c *Counter) Add(n int64) {
 	if c != nil {
 		c.v.Add(n)
@@ -46,8 +40,6 @@ func (c *Counter) Value() int64 {
 // log. One observer serves all of a job's replicas concurrently; every
 // field is optional, and a nil *WalkObserver disables observation
 // entirely at the cost of two nil checks per candidate draw.
-//
-//hdlint:nilsafe
 type WalkObserver struct {
 	// Tracer samples walks for end-to-end tracing; nil or rate-0 traces
 	// nothing.

@@ -120,8 +120,6 @@ func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
 // CounterVec is a counter family partitioned by one label. Hot paths
 // call With once and keep the returned *Counter. A nil *CounterVec
 // yields nil (inert) counters.
-//
-//hdlint:nilsafe
 type CounterVec struct {
 	label string
 

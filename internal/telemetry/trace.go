@@ -113,8 +113,6 @@ const maxTraceLevels = 256
 // of walks, travel down the stack via WithTrace/TraceFrom, and are owned
 // by a single walker goroutine until Finish hands them to the ring
 // buffer. All methods are no-ops on a nil receiver.
-//
-//hdlint:nilsafe
 type WalkTrace struct {
 	tracer *Tracer
 
@@ -273,8 +271,6 @@ type TracerOptions struct {
 // pool, and keeps the most recent finished traces in a fixed ring buffer
 // for /debug/walks. A nil *Tracer never samples. Safe for concurrent use
 // by many walker goroutines.
-//
-//hdlint:nilsafe
 type Tracer struct {
 	threshold uint64 // sample when the next splitmix64 draw is below this
 	capacity  int

@@ -32,6 +32,9 @@ type BruteForce struct {
 	space  float64
 	rng    *rand.Rand
 	stats  genCounters
+	// rows marks every query: all are fully specified, and the sampler
+	// picks from an overflowing answer's rows.
+	rows rowsCtx
 }
 
 // NewBruteForce builds the sampler, fetching the schema eagerly.
@@ -69,13 +72,15 @@ func (b *BruteForce) Candidate(ctx context.Context) (*Candidate, error) {
 		for _, attr := range b.attrs {
 			q = q.With(attr, b.rng.Intn(b.schema.DomainSize(attr)))
 		}
-		res, err := b.conn.Execute(ctx, q)
+		res, err := b.conn.Execute(b.rows.of(ctx), q)
 		if err != nil {
 			return nil, err
 		}
 		queries++
 		b.stats.queries.Add(1)
-		if res.Empty() {
+		if len(res.Tuples) == 0 {
+			// Empty, or a row-less overflow page (a site that never shows
+			// them): nothing to pick.
 			b.stats.restarts.Add(1)
 			continue
 		}

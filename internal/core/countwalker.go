@@ -54,6 +54,9 @@ type CountWalker struct {
 	orderBuf []int
 	weights  []float64
 	results  []*hiddendb.Result
+	// rows marks the last level's child queries: the walk picks a row
+	// from the chosen one even when it overflows.
+	rows rowsCtx
 }
 
 // NewCountWalker builds the sampler, fetching the schema eagerly.
@@ -163,6 +166,10 @@ func (c *CountWalker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, wal
 
 	for depth, attr := range order {
 		dom := c.schema.DomainSize(attr)
+		lctx := ctx
+		if depth == len(order)-1 {
+			lctx = c.rows.of(ctx)
+		}
 		if cap(c.weights) < dom {
 			c.weights = make([]float64, dom)
 			c.results = make([]*hiddendb.Result, dom)
@@ -183,7 +190,7 @@ func (c *CountWalker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, wal
 				weights[v] = w
 				continue
 			}
-			res, err := c.exec(ctx, tr, walk, depth, attr, v, q.With(attr, v))
+			res, err := c.exec(lctx, tr, walk, depth, attr, v, q.With(attr, v))
 			if err != nil {
 				return nil, c.walkCost(startQueries), err
 			}
@@ -211,7 +218,7 @@ func (c *CountWalker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, wal
 		res := results[v]
 		if res == nil { // the inferred child: fetch it now that it is chosen
 			var err error
-			res, err = c.exec(ctx, tr, walk, depth, attr, v, q)
+			res, err = c.exec(lctx, tr, walk, depth, attr, v, q)
 			if err != nil {
 				return nil, c.walkCost(startQueries), err
 			}

@@ -59,6 +59,8 @@ func (c *Crawler) Run(ctx context.Context) ([]hiddendb.Tuple, error) {
 	seen := make(map[int]hiddendb.Tuple)
 	anon := 0 // rows without stable IDs are kept as distinct
 	var anonRows []hiddendb.Tuple
+	// The fully specified queries' overflow rows are collected.
+	wantRows := formclient.WantRows(ctx)
 	var crawl func(q hiddendb.Query, depth int) error
 	crawl = func(q hiddendb.Query, depth int) error {
 		if err := ctx.Err(); err != nil {
@@ -67,7 +69,11 @@ func (c *Crawler) Run(ctx context.Context) ([]hiddendb.Tuple, error) {
 		if c.cfg.MaxQueries > 0 && c.stats.queries.Load() >= c.cfg.MaxQueries {
 			return fmt.Errorf("%w (budget %d)", ErrCrawlBudget, c.cfg.MaxQueries)
 		}
-		res, err := c.conn.Execute(ctx, q)
+		qctx := ctx
+		if depth == len(c.attrs) {
+			qctx = wantRows
+		}
+		res, err := c.conn.Execute(qctx, q)
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/telemetry"
 )
@@ -91,6 +92,20 @@ func (c *genCounters) snapshot() GenStats {
 		Candidates: c.candidates.Load(),
 		Queries:    c.queries.Load(),
 	}
+}
+
+// rowsCtx marks the queries whose overflow rows a generator reads
+// (formclient.WantRows) without allocating per query: it keeps the marked
+// context derived from the last context its caller passed, and a caller
+// that keeps passing the same context — an untraced draw loop — reuses it.
+type rowsCtx struct{ parent, marked context.Context }
+
+// of returns ctx marked as wanting rows.
+func (r *rowsCtx) of(ctx context.Context) context.Context {
+	if r.parent != ctx {
+		r.parent, r.marked = ctx, formclient.WantRows(ctx)
+	}
+	return r.marked
 }
 
 // resolveAttrs validates an optional attribute subset against the schema,

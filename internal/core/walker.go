@@ -68,6 +68,9 @@ type Walker struct {
 	// plain fields suffice.
 	orderBuf []int
 	predBuf  []hiddendb.Predicate
+	// rows marks the last level's query, whose overflow rows the walk
+	// picks from.
+	rows rowsCtx
 }
 
 // NewWalker builds a walker over conn, fetching the schema eagerly.
@@ -149,6 +152,10 @@ func (w *Walker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int
 			return nil, queries, err
 		}
 		pathProb /= float64(dom)
+		qctx := ctx
+		if depth == len(order)-1 {
+			qctx = w.rows.of(ctx)
+		}
 
 		var res *hiddendb.Result
 		if tr != nil {
@@ -156,10 +163,10 @@ func (w *Walker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int
 			// path reads no clocks.
 			tr.BeginLevel(walk, depth, attr, v)
 			start := time.Now()
-			res, err = w.conn.Execute(ctx, q)
+			res, err = w.conn.Execute(qctx, q)
 			tr.EndLevel(levelOutcome(res, err), time.Since(start))
 		} else {
-			res, err = w.conn.Execute(ctx, q)
+			res, err = w.conn.Execute(qctx, q)
 		}
 		if err != nil {
 			return nil, queries, err
@@ -173,12 +180,12 @@ func (w *Walker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int
 		case res.Valid():
 			return w.pick(res, pathProb, depth+1), queries, nil
 		case depth == len(order)-1:
-			// Fully specified yet still overflowing: the matches are
-			// duplicates beyond k. Only the top-k rows are visible through
-			// the interface; pick uniformly among them. Reach stays exact:
-			// it is the probability of emitting this visible row. A
-			// row-less overflow page (some sites or caches omit rows)
-			// leaves nothing to pick: restart.
+			// Fully specified (over the walk's attributes) yet still
+			// overflowing: only the top-k rows are visible through the
+			// interface, and this query asked for them; pick uniformly
+			// among them. Reach stays exact: it is the probability of
+			// emitting this visible row. A row-less overflow page (a site
+			// that never shows them) leaves nothing to pick: restart.
 			if len(res.Tuples) == 0 {
 				return nil, queries, nil
 			}

@@ -4,8 +4,29 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// smallRuns memoizes each experiment's small-scale run, so a test that
+// pins an experiment's shape reads the table TestAllExperimentsRunSmall
+// produced instead of running the experiment a second time.
+var smallRuns sync.Map // experiment ID -> *smallRun
+
+type smallRun struct {
+	once sync.Once
+	tbl  *Table
+	err  error
+}
+
+// runSmall returns e's table at ScaleSmall, running e at most once per
+// test binary.
+func runSmall(e Experiment) (*Table, error) {
+	v, _ := smallRuns.LoadOrStore(e.ID, new(smallRun))
+	r := v.(*smallRun)
+	r.once.Do(func() { r.tbl, r.err = e.Run(context.Background(), ScaleSmall) })
+	return r.tbl, r.err
+}
 
 // TestAllExperimentsRunSmall executes every experiment at small scale and
 // checks structural sanity: rows present, header arity respected, metrics
@@ -15,7 +36,7 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tbl, err := e.Run(context.Background(), ScaleSmall)
+			tbl, err := runSmall(e)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -165,9 +186,13 @@ func TestOrderingReducesSkew(t *testing.T) {
 
 // TestFigure4Shape pins the headline exhibit's direction: HDSampler's
 // histogram approaches truth and costs far fewer queries per sample than
-// brute force.
+// brute force. It checks the shared small-scale run's table.
 func TestFigure4Shape(t *testing.T) {
-	tbl, err := Figure4(context.Background(), ScaleSmall)
+	e, ok := ByID("figure4")
+	if !ok {
+		t.Fatal("figure4 not registered")
+	}
+	tbl, err := runSmall(e)
 	if err != nil {
 		t.Fatal(err)
 	}

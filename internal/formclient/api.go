@@ -103,7 +103,7 @@ func (a *API) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, 
 		return nil, err
 	}
 	u := a.http.base + "/api/search"
-	if enc := encodeQueryParams(schema, q); enc != "" {
+	if enc := EncodeQueryParams(schema, q); enc != "" {
 		u += "?" + enc
 	}
 	body, err := a.http.get(ctx, u)

@@ -4,7 +4,15 @@
 // simulated hidden database" backup plan); HTTP drives a live web form
 // interface, discovering the attribute domains by parsing the form page
 // and reading answers off HTML result pages, with rate-limit-aware
-// retries — the Google Base path of the original system.
+// retries — the Google Base path of the original system; API reads the
+// same site's JSON endpoint.
+//
+// A caller that will read an overflowing answer's rows says so with
+// WantRows. The drill-down reads them only at its last level, where the
+// query cannot be narrowed any further, so every other overflow answer is
+// just a flag. HTTP decodes result pages in one pass over the body, with
+// no DOM (the htmlx DOM is used for form discovery only), and decodes an
+// overflow page's rows only when they are wanted.
 package formclient
 
 import (
@@ -36,13 +44,38 @@ type Conn interface {
 	// connectors the first call performs discovery by parsing the live
 	// form page; the result is cached.
 	Schema(ctx context.Context) (*hiddendb.Schema, error)
-	// Execute answers one conjunctive query.
+	// Execute answers one conjunctive query. A valid (non-overflowing)
+	// answer always carries all its rows. When RowsWanted(ctx), an
+	// overflowing answer carries its full visible top-k, across every
+	// page of a paginated site; otherwise a connector may omit those rows
+	// and return the overflow flag and count alone. Decorators pass ctx
+	// through, so the request reaches the wire.
 	Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error)
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
 }
 
-// Local is a Conn bound directly to an in-process database.
+// rowsKey is the context key WantRows sets.
+type rowsKey struct{}
+
+// WantRows returns a context under which Execute must return an
+// overflowing answer's visible rows. Generators mark the queries whose
+// overflow rows they read: the drill-down's last level, where it picks a
+// row even from an overflowing answer. The mark is one context value and
+// costs one allocation; a generator that reuses the marked context across
+// calls pays it once.
+func WantRows(ctx context.Context) context.Context {
+	return context.WithValue(ctx, rowsKey{}, true)
+}
+
+// RowsWanted reports whether ctx asks for an overflowing answer's rows.
+func RowsWanted(ctx context.Context) bool {
+	v, _ := ctx.Value(rowsKey{}).(bool)
+	return v
+}
+
+// Local is a Conn bound directly to an in-process database. It returns
+// every answer's rows whether or not they are wanted.
 type Local struct {
 	db      *hiddendb.DB
 	queries atomic.Int64

@@ -15,7 +15,6 @@ import (
 
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/hiddendb"
-	"hdsampler/internal/htmlx"
 	"hdsampler/internal/webform"
 )
 
@@ -109,7 +108,9 @@ func TestHTTPSchemaDiscovery(t *testing.T) {
 func TestHTTPExecuteMatchesLocal(t *testing.T) {
 	db, srv := vehiclesServer(t, 400, 30, hiddendb.CountExact, webform.Options{})
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
-	ctx := context.Background()
+	// Rows wanted: overflow answers carry their visible top-k too, so
+	// every answer compares in full.
+	ctx := WantRows(context.Background())
 
 	queries := []hiddendb.Query{
 		hiddendb.EmptyQuery(),
@@ -155,6 +156,28 @@ func TestHTTPExecuteMatchesLocal(t *testing.T) {
 	}
 	if conn.Stats().Queries != int64(len(queries)) {
 		t.Errorf("Queries = %d, want %d", conn.Stats().Queries, len(queries))
+	}
+
+	// Without the rows wanted, an overflow answer is its flag and count
+	// alone; a valid answer still arrives whole.
+	overflowed := false
+	for _, q := range queries {
+		want, _ := db.Execute(q)
+		got, err := conn.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("Execute(%v): %v", q, err)
+		}
+		wantRows := len(want.Tuples)
+		if want.Overflow {
+			overflowed, wantRows = true, 0
+		}
+		if got.Overflow != want.Overflow || got.Count != want.Count || len(got.Tuples) != wantRows {
+			t.Fatalf("query %v without rows: got (ov=%v,count=%d,n=%d), want (ov=%v,count=%d,n=%d)",
+				q, got.Overflow, got.Count, len(got.Tuples), want.Overflow, want.Count, wantRows)
+		}
+	}
+	if !overflowed {
+		t.Fatal("no query overflowed; the rows-not-wanted case is untested")
 	}
 }
 
@@ -237,7 +260,7 @@ func TestHTTPMalformedResultPage(t *testing.T) {
 			<tr><td>#1</td><td>toyota</td><td>camry</td><td>2005</td><td>999999999</td><td>50000</td><td>red</td><td>used</td><td>automatic</td><td>gas</td><td>4</td></tr></table>`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := parseResultPage(schema, page); !errors.Is(err, ErrPageFormat) {
+			if _, _, err := decodeResultPage(schema, []byte(page), true); !errors.Is(err, ErrPageFormat) {
 				t.Fatalf("want ErrPageFormat, got %v", err)
 			}
 		})
@@ -250,7 +273,7 @@ func TestParseResultPageBucketLabelFallback(t *testing.T) {
 	schema := hiddendb.MustSchema("s", hiddendb.NumAttr("price", 0, 100, 200))
 	page := `<div id="status" data-overflow="false"></div><table id="results">
 		<tr><td>#0</td><td>100-200</td></tr></table>`
-	res, _, err := parseResultPage(schema, page)
+	res, _, err := decodeResultPage(schema, []byte(page), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,11 +468,13 @@ func TestHTTPContextCancellation(t *testing.T) {
 
 func TestParseRowMissingID(t *testing.T) {
 	schema := hiddendb.MustSchema("s", hiddendb.BoolAttr("a"))
-	tu, err := parseRow(schema, []htmlx.Cell{{Text: "n/a"}, {Text: "true"}})
+	page := `<div id="status" data-overflow="false"></div><table id="results">
+		<tr><td>n/a</td><td>true</td></tr></table>`
+	res, _, err := decodeResultPage(schema, []byte(page), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tu.ID != -1 || tu.Vals[0] != 1 {
+	if tu := res.Tuples[0]; tu.ID != -1 || tu.Vals[0] != 1 {
 		t.Fatalf("tuple = %+v", tu)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -48,11 +47,6 @@ type HTTPOptions struct {
 	// Politeness inserts a delay before every request after the first —
 	// basic crawler etiquette against production sites. Zero disables it.
 	Politeness time.Duration
-	// FetchAllOverflowPages follows pagination even on overflowing
-	// results. Off by default: an overflow page's rows are never used by
-	// the drill-down (it descends instead), so later pages are wasted
-	// requests; valid results are always assembled completely.
-	FetchAllOverflowPages bool
 	// Sleep is the sleep function for backoff and politeness, overridable
 	// by tests; defaults to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -112,7 +106,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // congestion (the AIMD limiter backs off when RateLimitRetries advances),
 // while 5xx blips and timed-out requests are plain flakiness
 // (TransientRetries) that must not shrink the concurrency window.
-func (h *HTTP) get(ctx context.Context, u string) (string, error) {
+func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 	var lastWait time.Duration
 	var retrying *atomic.Int64 // counter to bump when the next attempt starts
 	var budgetErr error        // error surfaced when the retry budget runs out
@@ -120,17 +114,17 @@ func (h *HTTP) get(ctx context.Context, u string) (string, error) {
 		if attempt > 0 {
 			retrying.Add(1)
 			if err := h.opts.Sleep(ctx, lastWait); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 		if h.opts.Politeness > 0 && !h.requested.CompareAndSwap(false, true) {
 			if err := h.opts.Sleep(ctx, h.opts.Politeness); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		h.requests.Add(1)
 		resp, err := h.opts.Client.Do(req)
@@ -142,16 +136,16 @@ func (h *HTTP) get(ctx context.Context, u string) (string, error) {
 				lastWait = transientWait(attempt, h.opts.MaxRetryWait)
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
-			return string(body), nil
+			return body, nil
 		case http.StatusTooManyRequests:
 			retrying, budgetErr = &h.retries, fmt.Errorf("%w: %s", ErrRateLimited, u)
 			lastWait = retryWait(resp, h.opts.MaxRetryWait)
@@ -163,11 +157,11 @@ func (h *HTTP) get(ctx context.Context, u string) (string, error) {
 			lastWait = transientWait(attempt, h.opts.MaxRetryWait)
 			continue
 		default:
-			return "", fmt.Errorf("formclient: GET %s: status %d: %s",
+			return nil, fmt.Errorf("formclient: GET %s: status %d: %s",
 				u, resp.StatusCode, strings.TrimSpace(string(body)))
 		}
 	}
-	return "", budgetErr
+	return nil, budgetErr
 }
 
 // isTimeout reports whether a transport error is a timeout (as opposed to
@@ -221,7 +215,7 @@ func (h *HTTP) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := htmlx.Parse(body)
+	root := htmlx.Parse(string(body))
 	form := htmlx.FormByName(root, "search")
 	if form == nil {
 		return nil, fmt.Errorf("%w: no search form on %s/", ErrPageFormat, h.base)
@@ -301,11 +295,11 @@ func parseRangeLabels(labels []string) ([]hiddendb.Bucket, bool) {
 	return buckets, true
 }
 
-// encodeQueryParams renders q as a URL query string ("make=1&cond=0") in
+// EncodeQueryParams renders q as a URL query string ("make=1&cond=0") in
 // canonical predicate order, attribute names escaped. It iterates the
 // query's predicates in place and renders into one pre-sized builder —
 // no url.Values map, no predicate-list copy.
-func encodeQueryParams(schema *hiddendb.Schema, q hiddendb.Query) string {
+func EncodeQueryParams(schema *hiddendb.Schema, q hiddendb.Query) string {
 	if q.Len() == 0 {
 		return ""
 	}
@@ -324,7 +318,10 @@ func encodeQueryParams(schema *hiddendb.Schema, q hiddendb.Query) string {
 }
 
 // Execute implements Conn: it submits the query as form parameters and
-// scrapes the result page.
+// decodes the result page. An overflow answer carries its rows — every
+// page of the visible top-k — only when the caller asked for them with
+// WantRows; otherwise it costs one request and carries none. A valid
+// answer always arrives complete.
 func (h *HTTP) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	schema, err := h.Schema(ctx)
 	if err != nil {
@@ -334,7 +331,7 @@ func (h *HTTP) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 		return nil, err
 	}
 	u := h.base + "/search"
-	if enc := encodeQueryParams(schema, q); enc != "" {
+	if enc := EncodeQueryParams(schema, q); enc != "" {
 		u += "?" + enc
 	}
 	body, err := h.get(ctx, u)
@@ -342,28 +339,27 @@ func (h *HTTP) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 		return nil, err
 	}
 	h.queries.Add(1)
-	res, next, err := parseResultPage(schema, body)
+	wanted := RowsWanted(ctx)
+	res, next, err := decodeResultPage(schema, body, wanted)
 	if err != nil {
 		return nil, err
+	}
+	if res.Overflow && !wanted {
+		return res, nil
 	}
 	// Paginated sites split the visible top-k across pages; follow the
 	// "next" links to assemble the full answer. Each page fetch is a real
 	// request (rate limited like any other), but still one logical query.
-	// Overflow answers stop at page one by default: the walk only needs
-	// the overflow flag there, not the rows.
-	if res.Overflow && !h.opts.FetchAllOverflowPages {
-		next = ""
-	}
 	for pages := 0; next != "" && pages < maxResultPages; pages++ {
 		body, err := h.get(ctx, h.base+next)
 		if err != nil {
 			return nil, err
 		}
-		more, n, err := parseResultPage(schema, body)
+		more, n, err := decodeResultPage(schema, body, true)
 		if err != nil {
 			return nil, err
 		}
-		//hdlint:ignore resultimmut res is page one's freshly parsed Result (built by parseResultPage), not shared storage
+		//hdlint:ignore resultimmut res is page one's freshly decoded Result (built by decodeResultPage), not shared storage
 		res.Tuples = append(res.Tuples, more.Tuples...)
 		next = n
 	}
@@ -372,92 +368,6 @@ func (h *HTTP) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 
 // maxResultPages bounds pagination loops against misbehaving sites.
 const maxResultPages = 1000
-
-// parseResultPage reads a result page into a hiddendb.Result plus the
-// next-page link when the site paginates (empty when this is the last or
-// only page).
-func parseResultPage(schema *hiddendb.Schema, body string) (*hiddendb.Result, string, error) {
-	root := htmlx.Parse(body)
-	status := root.ByID("status")
-	if status == nil {
-		return nil, "", fmt.Errorf("%w: missing status marker", ErrPageFormat)
-	}
-	res := &hiddendb.Result{Count: hiddendb.CountAbsent}
-	switch ov, _ := status.Attr("data-overflow"); ov {
-	case "true":
-		res.Overflow = true
-	case "false":
-	default:
-		return nil, "", fmt.Errorf("%w: bad overflow marker %q", ErrPageFormat, ov)
-	}
-	if c := root.ByID("count"); c != nil {
-		if v, ok := c.Attr("data-count"); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, "", fmt.Errorf("%w: bad count %q", ErrPageFormat, v)
-			}
-			res.Count = n
-		}
-	}
-	next := ""
-	if a := root.ByID("next"); a != nil {
-		next = a.AttrOr("href", "")
-	}
-	tbl := htmlx.TableByID(root, "results")
-	if tbl == nil {
-		if root.ByID("noresults") == nil && res.Overflow {
-			return nil, "", fmt.Errorf("%w: overflow page without results table", ErrPageFormat)
-		}
-		return res, next, nil
-	}
-	for rowIdx, row := range tbl.Rows {
-		if len(row) != schema.NumAttrs()+1 {
-			return nil, "", fmt.Errorf("%w: row %d has %d cells, want %d",
-				ErrPageFormat, rowIdx, len(row), schema.NumAttrs()+1)
-		}
-		t, err := parseRow(schema, row)
-		if err != nil {
-			return nil, "", fmt.Errorf("row %d: %w", rowIdx, err)
-		}
-		res.Tuples = append(res.Tuples, t)
-	}
-	return res, next, nil
-}
-
-// parseRow converts a result-table row (item link cell + one cell per
-// attribute) back into a tuple.
-func parseRow(schema *hiddendb.Schema, row []htmlx.Cell) (hiddendb.Tuple, error) {
-	t := hiddendb.Tuple{ID: -1}
-	if id, err := strconv.Atoi(strings.TrimPrefix(row[0].Text, "#")); err == nil {
-		t.ID = id
-	}
-	m := schema.NumAttrs()
-	t.Vals = make([]int, m)
-	t.Nums = make([]float64, m)
-	for a := 0; a < m; a++ {
-		t.Nums[a] = math.NaN()
-		attr := &schema.Attrs[a]
-		text := row[a+1].Text
-		if attr.Kind == hiddendb.KindNumeric {
-			if raw, err := strconv.ParseFloat(text, 64); err == nil {
-				b := attr.BucketOf(raw)
-				if b < 0 {
-					return t, fmt.Errorf("%w: value %g outside buckets of %q", ErrPageFormat, raw, attr.Name)
-				}
-				t.Vals[a] = b
-				t.Nums[a] = raw
-				continue
-			}
-			// Fall through: site may render the bucket label itself.
-		}
-		idx := attr.ValueIndex(text)
-		if idx < 0 {
-			return t, fmt.Errorf("%w: unknown label %q for attribute %q", ErrPageFormat, text, attr.Name)
-		}
-		t.Vals[a] = idx
-	}
-	return t, nil
-}
 
 // Stats implements Conn.
 func (h *HTTP) Stats() Stats {

@@ -12,12 +12,12 @@ import (
 func TestHTTPFollowsPagination(t *testing.T) {
 	db, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
 		webform.Options{PageSize: 50})
-	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), FetchAllOverflowPages: true})
-	ctx := context.Background()
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
+	ctx := WantRows(context.Background())
 
-	// Broad query: 120 visible rows over 3 pages; with
-	// FetchAllOverflowPages the connector assembles them all in rank
-	// order as one logical query.
+	// Broad query: 120 visible rows over 3 pages; with its rows wanted
+	// the connector assembles them all in rank order as one logical
+	// query.
 	want, err := db.Execute(hiddendb.EmptyQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -25,6 +25,9 @@ func TestHTTPFollowsPagination(t *testing.T) {
 	got, err := conn.Execute(ctx, hiddendb.EmptyQuery())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !want.Overflow || len(want.Tuples) != 120 {
+		t.Fatalf("fixture: overflow %v with %d rows, want an overflow with 120", want.Overflow, len(want.Tuples))
 	}
 	if len(got.Tuples) != len(want.Tuples) {
 		t.Fatalf("assembled %d rows, want %d", len(got.Tuples), len(want.Tuples))
@@ -48,21 +51,24 @@ func TestHTTPFollowsPagination(t *testing.T) {
 }
 
 func TestHTTPSkipsOverflowPagesByDefault(t *testing.T) {
-	_, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
+	db, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
 		webform.Options{PageSize: 50})
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
-	ctx := context.Background()
-	got, err := conn.Execute(ctx, hiddendb.EmptyQuery())
+	got, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Overflow {
-		t.Fatal("want overflow")
+	want, err := db.Execute(hiddendb.EmptyQuery())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Only the first page's rows arrive; the overflow flag is what the
-	// drill-down actually consumes.
-	if len(got.Tuples) != 50 {
-		t.Fatalf("rows = %d, want first page only (50)", len(got.Tuples))
+	// Nobody asked for the rows: the overflow flag and the count are the
+	// whole answer, and page one is the only request.
+	if !got.Overflow || got.Count != want.Count {
+		t.Fatalf("got overflow %v count %d, want overflow with count %d", got.Overflow, got.Count, want.Count)
+	}
+	if len(got.Tuples) != 0 {
+		t.Fatalf("rows = %d, want none", len(got.Tuples))
 	}
 	if st := conn.Stats(); st.HTTPRequests != 2 {
 		t.Fatalf("HTTP requests = %d, want 2 (form + page 1)", st.HTTPRequests)
@@ -96,9 +102,10 @@ func TestHTTPPaginationMatchesDirectForNarrowQueries(t *testing.T) {
 }
 
 func TestSamplingThroughPaginatedSite(t *testing.T) {
-	// End to end: the sampler stack works unchanged against a paginated
-	// site; only the HTTP request count grows.
-	_, srv := vehiclesServer(t, 400, 60, hiddendb.CountNone,
+	// The answer a drill-down's last level reads: an overflowing query
+	// whose rows are wanted arrives with its whole visible top-k (60 rows
+	// over pages of 25); the same query without them costs one request.
+	db, srv := vehiclesServer(t, 400, 60, hiddendb.CountNone,
 		webform.Options{PageSize: 25})
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
 	ctx := context.Background()
@@ -109,16 +116,39 @@ func TestSamplingThroughPaginatedSite(t *testing.T) {
 	if schema.NumAttrs() != 10 {
 		t.Fatalf("attrs = %d", schema.NumAttrs())
 	}
-	res, err := conn.Execute(ctx, hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: 1}))
+	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: 1})
+	want, err := db.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overflow answers stop at the first page by default (25 rows); the
-	// flag itself is intact.
-	if res.Overflow && len(res.Tuples) != 25 {
-		t.Fatalf("overflow rows = %d, want one page (25)", len(res.Tuples))
+	if !want.Overflow || len(want.Tuples) != 60 {
+		t.Fatalf("fixture: overflow %v with %d rows, want an overflow with 60", want.Overflow, len(want.Tuples))
 	}
-	if conn.Stats().HTTPRequests <= conn.Stats().Queries {
-		t.Error("pagination should cost extra HTTP requests")
+	before := conn.Stats().HTTPRequests
+	res, err := conn.Execute(WantRows(ctx), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Overflow || len(res.Tuples) != 60 {
+		t.Fatalf("wanted overflow: %v with %d rows, want 60", res.Overflow, len(res.Tuples))
+	}
+	for i := range want.Tuples {
+		if res.Tuples[i].ID != want.Tuples[i].ID {
+			t.Fatalf("row %d: id %d, want %d", i, res.Tuples[i].ID, want.Tuples[i].ID)
+		}
+	}
+	if got := conn.Stats().HTTPRequests - before; got != 3 {
+		t.Fatalf("wanted overflow cost %d requests, want 3 pages", got)
+	}
+	before = conn.Stats().HTTPRequests
+	res, err = conn.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("unwanted overflow: %v with %d rows, want the flag alone", res.Overflow, len(res.Tuples))
+	}
+	if got := conn.Stats().HTTPRequests - before; got != 1 {
+		t.Fatalf("unwanted overflow cost %d requests, want 1", got)
 	}
 }

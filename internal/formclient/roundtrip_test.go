@@ -93,7 +93,8 @@ func TestHTTPDiscoveryRoundTripProperty(t *testing.T) {
 		srv := httptest.NewServer(webform.NewServer(db, webform.Options{}))
 		defer srv.Close()
 		conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
-		ctx := context.Background()
+		// Rows wanted, so overflow answers carry their top-k as well.
+		ctx := WantRows(context.Background())
 		got, err := conn.Schema(ctx)
 		if err != nil {
 			t.Logf("seed %d: discovery failed: %v", seed, err)

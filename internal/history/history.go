@@ -40,15 +40,20 @@
 //     sibling.
 //   - Statistics are atomic counters, readable from any goroutine.
 //
-// When MaxEntries caps the cache, a per-shard CLOCK (second-chance)
-// policy evicts approximately-least-recently-used entries. Fully
-// specified overflow entries are pinned and never evicted: their rows are
-// the only window onto duplicate-heavy cells, and dropping them would
-// make those rows unreachable on replay (see storeRows in Execute).
+// Overflow rows are kept exactly when they were wanted. A generator marks
+// the queries whose overflow rows it reads with formclient.WantRows — the
+// drill-down's last level, where the query cannot be narrowed further
+// (for an attribute-scoped walk, the last scoped attribute). Such an
+// answer is stored with its rows and pinned: it is the only window onto
+// the cell's visible top-k. Every other overflow answer is stored as its
+// flag and count alone, since storing k rows per overflow would dominate
+// memory and nobody reads them. A lookup that wants rows and finds a
+// row-less overflow entry counts as a miss, and the fresh answer replaces
+// the entry.
 //
-// Cached and inferred overflow answers carry no tuple rows (the top-k rows
-// of an overflowing query are never used by the samplers, and storing k
-// rows per overflow would dominate memory).
+// When MaxEntries caps the cache, a per-shard CLOCK (second-chance)
+// policy evicts approximately-least-recently-used entries. Pinned entries
+// are never evicted.
 package history
 
 import (
@@ -70,8 +75,8 @@ type Options struct {
 	TrustCounts bool
 	// MaxEntries caps the number of evictable cached queries; 0 means
 	// unlimited. When the cap is hit, CLOCK eviction reclaims the
-	// least-recently-touched entries one at a time. Pinned fully-specified
-	// overflow entries do not count against the cap.
+	// least-recently-touched entries one at a time. Pinned overflow
+	// entries, the ones holding wanted rows, do not count against the cap.
 	MaxEntries int
 	// MaxInferDepth bounds the predicate count up to which ancestor
 	// inference is attempted. The subset trie makes deep inference cheap,
@@ -105,7 +110,7 @@ func (s Stats) Saved() int64 { return s.ExactHits + s.Inferred }
 // ShardStat describes one shard's occupancy, for balance monitoring.
 type ShardStat struct {
 	// Entries is the shard's total entry count; Protected the subset
-	// pinned against eviction (fully-specified overflow answers).
+	// pinned against eviction (overflow answers holding wanted rows).
 	Entries   int
 	Protected int
 }
@@ -132,8 +137,8 @@ type Cache struct {
 	evictHand atomic.Uint64
 }
 
-// entry stores one observed or derived answer. Overflow entries keep no
-// tuples unless pinned. All fields except the CLOCK reference bit, the
+// entry stores one observed or derived answer. An overflow entry keeps
+// its tuples only when they were wanted, and is then pinned. All fields except the CLOCK reference bit, the
 // ring slot, and the collision-chain link are immutable after the entry
 // is published (the mutable three change only under the shard lock),
 // which is what lets readers use an entry after dropping it.
@@ -145,7 +150,7 @@ type entry struct {
 	count    int              // interface-reported count (CountAbsent if none)
 	tuples   []hiddendb.Tuple // nil for row-less overflow entries; shared, read-only
 
-	pinned  bool // fully-specified overflow: never evicted
+	pinned  bool // overflow with its rows: never evicted
 	indexed bool // complete answer: present in the ancestor trie
 
 	ref  atomic.Bool // CLOCK reference bit, set on every touch
@@ -276,12 +281,14 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 
 	// Rule 1: exact repeat. Shared (read) lock only — parallel workers
 	// replaying hot queries never serialize here — and the precomputed
-	// signature means no hashing or string building on the hit path.
+	// signature means no hashing or string building on the hit path. A
+	// caller wanting rows cannot use a row-less overflow entry.
+	wanted := formclient.RowsWanted(ctx)
 	sh := c.shardFor(q.Hash())
 	sh.mu.RLock()
 	e := sh.get(q.Hash(), q.Key())
 	sh.mu.RUnlock()
-	if e != nil {
+	if e != nil && !(wanted && e.overflow && len(e.tuples) == 0) {
 		e.ref.Store(true)
 		c.exactHits.Add(1)
 		if tr != nil {
@@ -308,10 +315,9 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 	if err != nil {
 		return nil, err
 	}
-	// Fully-specified overflow answers keep their rows: they are the only
-	// window onto duplicate-heavy cells, and a row-less replay would make
-	// those rows unreachable on cache hits.
-	keepRows := !res.Overflow || q.Len() == schema.NumAttrs()
+	// An overflow answer keeps its rows exactly when they were wanted: a
+	// row-less replay would make them unreachable on cache hits.
+	keepRows := !res.Overflow || wanted
 	c.issued.Add(1)
 	c.store(q, res, keepRows)
 	return res, nil
@@ -327,24 +333,23 @@ func (e *entry) result() *hiddendb.Result {
 // store publishes an answer: the entry joins its shard (and, when it is a
 // complete answer, the ancestor trie), then the MaxEntries cap is
 // enforced. keepRows controls whether the visible rows are retained
-// (always for complete answers, never for intermediate overflow pages,
-// and for fully-specified overflow pages whose duplicates have no other
-// access path — those are pinned against eviction). Retained rows are
-// shared with the result, not cloned: entries and Results are both
-// immutable by convention.
+// (always for complete answers, and for overflow answers whose rows were
+// wanted); an overflow entry holding rows is pinned against eviction.
+// Retained rows are shared with the result, not cloned: entries and
+// Results are both immutable by convention.
 func (c *Cache) store(q hiddendb.Query, res *hiddendb.Result, keepRows bool) {
 	e := &entry{
 		q:        q,
 		hash:     q.Hash(),
 		overflow: res.Overflow,
 		count:    res.Count,
-		pinned:   res.Overflow && keepRows,
 		indexed:  !res.Overflow,
 		slot:     -1,
 	}
 	if keepRows {
 		e.tuples = res.Tuples
 	}
+	e.pinned = e.overflow && len(e.tuples) > 0
 
 	// Map and trie must change together under the shard lock: with the
 	// trie updated outside it, two same-key stores can interleave so the

@@ -349,11 +349,11 @@ func TestInferredCountPinnedWithoutInterfaceCounts(t *testing.T) {
 	}
 }
 
-// Fully-specified overflow entries are the only window onto
-// duplicate-heavy cells; eviction must never reclaim them.
-func TestEvictionNeverDropsPinnedOverflow(t *testing.T) {
-	// One cell holds 10 duplicates with K = 3: its fully-specified query
-	// overflows and keeps its rows (pinned).
+// duplicateCell is a two-boolean database whose cell (1,1) holds 10
+// duplicates under K = 3, so that cell's fully specified query overflows,
+// plus the cache under test over it.
+func duplicateCell(t *testing.T, opts Options) (*formclient.Local, *Cache, hiddendb.Query) {
+	t.Helper()
 	s := hiddendb.MustSchema("s", hiddendb.BoolAttr("a"), hiddendb.BoolAttr("b"))
 	var tuples []hiddendb.Tuple
 	for i := 0; i < 10; i++ {
@@ -364,25 +364,37 @@ func TestEvictionNeverDropsPinnedOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := formclient.NewLocal(db)
-	cache := New(local, Options{MaxEntries: 2, Shards: 1})
-	ctx := context.Background()
 	hot := hiddendb.MustQuery(hiddendb.Predicate{Attr: 0, Value: 1}, hiddendb.Predicate{Attr: 1, Value: 1})
-	r, err := cache.Execute(ctx, hot)
-	if err != nil || !r.Overflow || len(r.Tuples) == 0 {
-		t.Fatalf("setup: want pinned full-overflow answer with rows, got %+v %v", r, err)
-	}
-	// Churn far past the cap so every evictable entry turns over.
+	return local, New(local, opts), hot
+}
+
+// churn runs the three cells other than (1,1) through the cache, far past
+// a two-entry cap, so every evictable entry turns over.
+func churn(t *testing.T, cache *Cache) {
+	t.Helper()
 	for a := 0; a < 2; a++ {
 		for b := 0; b < 2; b++ {
 			if a == 1 && b == 1 {
 				continue
 			}
 			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: 0, Value: a}, hiddendb.Predicate{Attr: 1, Value: b})
-			if _, err := cache.Execute(ctx, q); err != nil {
+			if _, err := cache.Execute(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// An overflow entry holding wanted rows is the only window onto its
+// cell's visible top-k; eviction must never reclaim it.
+func TestEvictionNeverDropsPinnedOverflow(t *testing.T) {
+	local, cache, hot := duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
+	ctx := formclient.WantRows(context.Background())
+	r, err := cache.Execute(ctx, hot)
+	if err != nil || !r.Overflow || len(r.Tuples) == 0 {
+		t.Fatalf("setup: want pinned full-overflow answer with rows, got %+v %v", r, err)
+	}
+	churn(t, cache)
 	before := local.Stats().Queries
 	r2, err := cache.Execute(ctx, hot)
 	if err != nil {
@@ -393,6 +405,58 @@ func TestEvictionNeverDropsPinnedOverflow(t *testing.T) {
 	}
 	if !r2.Overflow || len(r2.Tuples) != len(r.Tuples) {
 		t.Fatalf("pinned replay lost rows: %+v", r2)
+	}
+}
+
+// TestUnwantedOverflowRowsAreNotKept is the other side of the rows-wanted
+// rule: an overflow answer whose rows nobody asked for is cached as its
+// flag alone, stays evictable, and a later lookup that does want the
+// rows misses and replaces the entry with one that keeps them.
+func TestUnwantedOverflowRowsAreNotKept(t *testing.T) {
+	local, cache, hot := duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
+	ctx := context.Background()
+	if _, err := cache.Execute(ctx, hot); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cache.Execute(ctx, hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Overflow || len(r.Tuples) != 0 || cache.CacheStats().ExactHits != 1 {
+		t.Fatalf("replay of an unwanted overflow: %+v (hits %d), want the flag alone from the cache",
+			r, cache.CacheStats().ExactHits)
+	}
+	if p := cache.ShardStats()[0].Protected; p != 0 {
+		t.Fatalf("%d pinned entries, want none", p)
+	}
+
+	// A lookup wanting the rows misses and keeps them.
+	before := local.Stats().Queries
+	r, err = cache.Execute(formclient.WantRows(ctx), hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Stats().Queries != before+1 || len(r.Tuples) != 3 {
+		t.Fatalf("wanted lookup: %d wire queries and %d rows, want 1 and 3",
+			local.Stats().Queries-before, len(r.Tuples))
+	}
+	if p := cache.ShardStats()[0].Protected; p != 1 {
+		t.Fatalf("%d pinned entries after the wanted answer, want 1", p)
+	}
+
+	// Without the wanted answer, the row-less entry is evicted like any
+	// other.
+	local, cache, hot = duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
+	if _, err := cache.Execute(ctx, hot); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, cache)
+	before = local.Stats().Queries
+	if _, err := cache.Execute(ctx, hot); err != nil {
+		t.Fatal(err)
+	}
+	if local.Stats().Queries != before+1 {
+		t.Fatal("the row-less overflow entry survived the churn; want it evicted")
 	}
 }
 

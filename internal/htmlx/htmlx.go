@@ -1,9 +1,11 @@
-// Package htmlx is a small, dependency-free HTML parser sufficient for
-// scraping conjunctive web form interfaces: it tokenizes real-world HTML
-// (unquoted attributes, unclosed <option>/<tr>/<td>, comments, script
-// bodies), builds a DOM-lite tree, and extracts forms, select domains and
-// result tables — the layer HDSampler needs to discover a hidden database's
-// attributes and read query answers off its pages.
+// Package htmlx is a small, dependency-free HTML parser for discovering a
+// conjunctive web form interface: it tokenizes real-world HTML (unquoted
+// attributes, unclosed <option>/<tr>/<td>, comments, script bodies),
+// builds a DOM-lite tree, and extracts forms, select domains and tables.
+// The HTTP connector uses it for form discovery only — reading the search
+// form's attribute domains once per target. Result pages, one per query,
+// are decoded by formclient in one pass with no tree; its tests keep the
+// tree-based result parser as the oracle that decoder must agree with.
 package htmlx
 
 import (

@@ -46,7 +46,8 @@ type Spec struct {
 	Method string `json:"method,omitempty"`
 	// N is the number of samples to accept; ignored for crawl jobs.
 	N int `json:"n"`
-	// Workers is the sampler replica count (default 1).
+	// Workers is the sampler replica count: default 1, at most
+	// MaxWorkers.
 	Workers int `json:"workers,omitempty"`
 	// Slider is the efficiency↔skew knob in [0,1] (see hdsampler.Config):
 	// omitted/null keeps the fastest default (1), and an explicit 0 —
@@ -72,6 +73,11 @@ type Spec struct {
 	NoShuffle bool `json:"no_shuffle,omitempty"`
 }
 
+// MaxWorkers bounds Spec.Workers. Each replica is a goroutine with its own
+// generator, all drawing against one host, so the bound sits far above
+// any useful pool while keeping a hostile spec from sizing the pool.
+const MaxWorkers = 256
+
 // normalize fills defaults and validates the spec in place, returning the
 // parsed target URL.
 func (s *Spec) normalize() (*url.URL, error) {
@@ -83,6 +89,9 @@ func (s *Spec) normalize() (*url.URL, error) {
 	}
 	if s.Workers <= 0 {
 		s.Workers = 1
+	}
+	if s.Workers > MaxWorkers {
+		return nil, fmt.Errorf("jobsvc: workers = %d, at most %d", s.Workers, MaxWorkers)
 	}
 	switch s.Connector {
 	case ConnectorHTML, ConnectorAPI:

@@ -68,7 +68,7 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return float64(h.Saved()) })
 	perHost("hdsamplerd_host_cache_entries", "Resident entries in each host's shared history caches.", false,
 		func(h HostStats) float64 { return float64(h.Entries) })
-	perHost("hdsamplerd_host_cache_protected_entries", "Pinned fully-specified overflow entries (never evicted).", false,
+	perHost("hdsamplerd_host_cache_protected_entries", "Pinned overflow entries holding rows a walk read (never evicted).", false,
 		func(h HostStats) float64 { return float64(h.Protected) })
 	perHost("hdsamplerd_host_cache_evictions_total", "Entries reclaimed by each host cache's CLOCK eviction.", true,
 		func(h HostStats) float64 { return float64(h.Evictions) })

@@ -22,23 +22,23 @@ func TestCallCollisionChainFullKeyVerify(t *testing.T) {
 		t.Fatalf("colliding calls occupy %d slots, want 1", len(calls))
 	}
 	for _, c := range []*call{c1, c2, c3} {
-		if got := findCall(calls, h, c.key); got != c {
+		if got := findCall(calls, h, c.key, false); got != c {
 			t.Fatalf("findCall(%q) = %v, want its own call", c.key, got)
 		}
 	}
-	if got := findCall(calls, h, "9=9"); got != nil {
+	if got := findCall(calls, h, "9=9", false); got != nil {
 		t.Fatalf("findCall of absent key = %q", got.key)
 	}
-	if got := findCall(calls, h+1, c1.key); got != nil {
+	if got := findCall(calls, h+1, c1.key, false); got != nil {
 		t.Fatalf("findCall under wrong hash = %q", got.key)
 	}
 
 	removeCall(calls, h, c2) // middle
-	if findCall(calls, h, c2.key) != nil || findCall(calls, h, c1.key) != c1 || findCall(calls, h, c3.key) != c3 {
+	if findCall(calls, h, c2.key, false) != nil || findCall(calls, h, c1.key, false) != c1 || findCall(calls, h, c3.key, false) != c3 {
 		t.Fatal("removeCall(middle) corrupted the chain")
 	}
 	removeCall(calls, h, c3) // head
-	if findCall(calls, h, c3.key) != nil || findCall(calls, h, c1.key) != c1 {
+	if findCall(calls, h, c3.key, false) != nil || findCall(calls, h, c1.key, false) != c1 {
 		t.Fatal("removeCall(head) corrupted the chain")
 	}
 	removeCall(calls, h, c1) // last

@@ -75,6 +75,7 @@ type Executor struct {
 // the next chain, so distinct queries never share a flight.
 type call struct {
 	key  string // canonical query key, verified on every hash-slot probe
+	rows bool   // the leader wants overflow rows (formclient.WantRows)
 	next *call  // signature-collision chain within a map slot
 
 	done chan struct{}
@@ -82,14 +83,15 @@ type call struct {
 	err  error
 }
 
-// findCall walks a hash slot's collision chain for the call matching the
-// full canonical key. The caller holds the executor's mutex. The chain
-// discipline mirrors history's shard.get/put/detach (internal/history/
-// shard.go) — a change to either unlink path likely applies to both;
-// each has its own collision-chain test pinning the surgery.
-func findCall(calls map[uint64]*call, hash uint64, key string) *call {
+// findCall walks a hash slot's collision chain for a call a caller can
+// join: one matching the full canonical key whose answer will carry rows
+// if the caller wants them. The caller holds the executor's mutex. The
+// chain discipline mirrors history's shard.get/put/detach (internal/
+// history/shard.go) — a change to either unlink path likely applies to
+// both; each has its own collision-chain test pinning the surgery.
+func findCall(calls map[uint64]*call, hash uint64, key string, rows bool) *call {
 	for c := calls[hash]; c != nil; c = c.next {
-		if c.key == key {
+		if c.key == key && (c.rows || !rows) {
 			return c
 		}
 	}
@@ -163,7 +165,9 @@ func (x *Executor) Limiter() *Limiter { return x.opts.Limiter }
 // its own goroutine; callers arriving while it is in flight wait and share
 // the answer. Flights are keyed by the query's precomputed signature hash
 // (full-key verified), and followers share the leader's Result outright —
-// Results are immutable by convention, so fan-out costs no deep copies.
+// Results are immutable by convention, so fan-out costs no deep copies. A
+// caller that wants overflow rows (formclient.RowsWanted) joins only a
+// flight whose leader wants them too, and otherwise leads its own.
 func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	x.queries.Add(1)
 	tr := telemetry.TraceFrom(ctx)
@@ -179,10 +183,10 @@ func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Res
 // execute is Execute's single-flight body; tr is the caller's walk trace
 // (nil when untraced).
 func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
-	hash, key := q.Hash(), q.Key()
+	hash, key, rows := q.Hash(), q.Key(), formclient.RowsWanted(ctx)
 	for {
 		x.mu.Lock()
-		if c := findCall(x.calls, hash, key); c != nil {
+		if c := findCall(x.calls, hash, key, rows); c != nil {
 			x.mu.Unlock()
 			select {
 			case <-c.done:
@@ -207,7 +211,7 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 		// The leader's flight record and its done channel: two allocations
 		// per distinct in-flight query, amortized across every coalesced
 		// follower.
-		c := &call{key: key, done: make(chan struct{})}
+		c := &call{key: key, rows: rows, done: make(chan struct{})}
 		c.next = x.calls[hash]
 		x.calls[hash] = c
 		x.mu.Unlock()

@@ -341,3 +341,71 @@ func TestExecutorConnInterface(t *testing.T) {
 		t.Fatal("unlimited executor should have a nil limiter")
 	}
 }
+
+// rowsConn answers like a scraping connector: an overflow answer carries
+// rows only when the caller wants them. Every Execute announces itself on
+// entered and waits for release.
+type rowsConn struct {
+	*formclient.Local
+	entered chan bool // RowsWanted of each arriving Execute
+	release chan struct{}
+}
+
+func (c *rowsConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	wanted := formclient.RowsWanted(ctx)
+	c.entered <- wanted
+	<-c.release
+	res, err := c.Local.Execute(ctx, q)
+	if err != nil || !res.Overflow || wanted {
+		return res, err
+	}
+	return &hiddendb.Result{Overflow: true, Count: res.Count}, nil
+}
+
+// TestWantedRowsNeverJoinRowlessFlight: a caller that wants an overflow
+// answer's rows must not share the answer of a leader that did not ask
+// for them; it leads its own flight. A caller that does not want rows may
+// join either kind.
+func TestWantedRowsNeverJoinRowlessFlight(t *testing.T) {
+	db := testDB(t, 500)
+	inner := &rowsConn{Local: formclient.NewLocal(db), entered: make(chan bool, 4), release: make(chan struct{})}
+	x := New(inner, Options{})
+	q := hiddendb.EmptyQuery()
+	ctx := context.Background()
+
+	type answer struct {
+		res *hiddendb.Result
+		err error
+	}
+	run := func(ctx context.Context) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			res, err := x.Execute(ctx, q)
+			ch <- answer{res, err}
+		}()
+		return ch
+	}
+	leader := run(ctx)
+	if wanted := <-inner.entered; wanted {
+		t.Fatal("leader arrived wanting rows")
+	}
+	follower := run(formclient.WantRows(ctx))
+	select {
+	case wanted := <-inner.entered:
+		if !wanted {
+			t.Fatal("second wire call did not want rows")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rows-wanting caller joined the row-less flight")
+	}
+	close(inner.release)
+	if a := <-leader; a.err != nil || !a.res.Overflow || len(a.res.Tuples) != 0 {
+		t.Fatalf("leader: %+v %v, want a row-less overflow", a.res, a.err)
+	}
+	if a := <-follower; a.err != nil || !a.res.Overflow || len(a.res.Tuples) == 0 {
+		t.Fatalf("rows-wanting caller: %+v %v, want the overflow rows", a.res, a.err)
+	}
+	if st := x.ExecStats(); st.WireCalls != 2 || st.Coalesced != 0 {
+		t.Fatalf("wire calls %d, coalesced %d; want 2 and 0", st.WireCalls, st.Coalesced)
+	}
+}

@@ -34,6 +34,9 @@ type SamplerSpec struct {
 	// walk distribution) or "p25" (C at the 25th percentile of positive
 	// reach probabilities — real rejection pressure at a bounded cost).
 	CMode string
+	// Scope, when positive, restricts the walk to the dataset's first
+	// Scope attributes (the demo's attribute scoping); 0 walks them all.
+	Scope int
 }
 
 // Config tunes a matrix run.
@@ -92,6 +95,10 @@ func DefaultSamplers() []SamplerSpec {
 	return []SamplerSpec{
 		{Name: "fast", CMode: "accept-all"},
 		{Name: "lowskew", CMode: "p25"},
+		// Two attributes leave many cells overflowing at the walk's last
+		// level, where it picks among the visible rows the history cache
+		// must keep for it.
+		{Name: "scoped", CMode: "p25", Scope: 2},
 	}
 }
 
@@ -219,9 +226,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("scenario: dataset %s: %w", ds.Name, err)
 		}
-		dist, err := exact.WalkDist(db, nil, ds.K)
-		if err != nil {
-			return rep, fmt.Errorf("scenario: dataset %s: %w", ds.Name, err)
+		// The exact walk distribution of each sampler's scope: the walk
+		// over the scoped attributes in schema order.
+		dists := make([]*exact.Dist, len(cfg.Samplers))
+		for si, sp := range cfg.Samplers {
+			if dists[si], err = exact.WalkDist(db, scopeAttrs(data.Schema, sp.Scope), ds.K); err != nil {
+				return rep, fmt.Errorf("scenario: dataset %s: %w", ds.Name, err)
+			}
 		}
 		for fi, fp := range cfg.Faults {
 			for si, sp := range cfg.Samplers {
@@ -231,7 +242,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				cellSeed := cfg.Seed + int64(di)*1_000_003 + int64(fi)*10_007 + int64(si)*101
 				cell := runCell(ctx, cellParams{
 					seed: cellSeed, n: cfg.SamplesPerCell, workers: cfg.Workers,
-					alpha: cfg.BiasAlpha, ds: ds, fp: fp, sp: sp, db: db, dist: dist,
+					alpha: cfg.BiasAlpha, ds: ds, fp: fp, sp: sp, db: db, dist: dists[si],
 				})
 				rep.Cells = append(rep.Cells, cell)
 			}
@@ -251,6 +262,19 @@ type cellParams struct {
 	sp      SamplerSpec
 	db      *hiddendb.DB
 	dist    *exact.Dist
+}
+
+// scopeAttrs returns the first scope attributes of schema, nil (all of
+// them) when scope is not positive.
+func scopeAttrs(schema *hiddendb.Schema, scope int) []int {
+	if scope <= 0 {
+		return nil
+	}
+	attrs := make([]int, min(scope, schema.NumAttrs()))
+	for i := range attrs {
+		attrs[i] = i
+	}
+	return attrs
 }
 
 // selectC maps a sampler spec onto its rejection target for this walk
@@ -306,6 +330,7 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 		Seed:       p.seed,
 		C:          c,
 		K:          p.ds.K,
+		Attrs:      scopeAttrs(p.db.Schema(), p.sp.Scope),
 		UseHistory: true,
 		Exec: hdsampler.ExecConfig{
 			MaxInFlight:      8,

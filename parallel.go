@@ -86,11 +86,15 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	rs.started = true
 	rs.startTime = time.Now()
 
-	// Split the target across replicas; replicas with a zero quota stay
-	// idle (a pipeline target of 0 would run unbounded).
+	// Split the target across replicas, n/w each and one more for the
+	// first n%w; replicas with a zero quota stay idle (a pipeline target
+	// of 0 would run unbounded).
 	quota := make([]int, len(rs.replicas))
-	for i := 0; i < n; i++ {
-		quota[i%len(quota)]++
+	for i := range quota {
+		quota[i] = n / len(quota)
+		if i < n%len(quota) {
+			quota[i]++
+		}
 	}
 	rs.mu.Unlock()
 

@@ -1,11 +1,11 @@
 package hdsampler
 
-// One benchmark per paper exhibit (see DESIGN.md's per-experiment index).
-// Each runs the corresponding experiment at small scale and reports its
-// headline metrics, so `go test -bench=.` regenerates every table's
-// numbers in miniature; `cmd/hdbench -scale full` prints the full tables
-// recorded in EXPERIMENTS.md. Micro-benchmarks for the hot substrate paths
-// follow at the end.
+// One benchmark per paper exhibit (`hdbench -list` names them; the
+// README shows how to reproduce them). Each runs the corresponding
+// experiment at small scale and reports its headline metrics, so `go test
+// -bench=.` regenerates every table's numbers in miniature; `cmd/hdbench
+// -scale full` prints the full tables. Micro-benchmarks for the hot
+// substrate paths follow at the end.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/history"
-	"hdsampler/internal/htmlx"
 	"hdsampler/internal/queryexec"
 	"hdsampler/internal/telemetry"
 )
@@ -61,8 +60,6 @@ func BenchmarkTableScalability(b *testing.B)        { benchExperiment(b, "scale"
 func BenchmarkTableOrdering(b *testing.B)           { benchExperiment(b, "ordering") }
 func BenchmarkTableCrawlVsSample(b *testing.B)      { benchExperiment(b, "crawl") }
 func BenchmarkTableWeighted(b *testing.B)           { benchExperiment(b, "weighted") }
-func BenchmarkTableDeployment(b *testing.B)         { benchExperiment(b, "deployment") }
-func BenchmarkTableCacheConcurrency(b *testing.B)   { benchExperiment(b, "cache") }
 
 // --- substrate micro-benchmarks ---
 
@@ -213,27 +210,6 @@ func BenchmarkHistoryDeepInference(b *testing.B) {
 	if cs.Issued > 1+int64(b.N)/100 {
 		b.Fatalf("deep queries leaked past inference: issued %d of %d", cs.Issued, b.N)
 	}
-}
-
-// BenchmarkHTMLParseResultPage measures parsing a realistic 100-row result
-// page — the scraping hot path.
-func BenchmarkHTMLParseResultPage(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString(`<html><body><div id="status" data-overflow="true">overflow</div><table id="results">`)
-	sb.WriteString(`<tr><th>item</th><th>make</th><th>price</th></tr>`)
-	for i := 0; i < 100; i++ {
-		sb.WriteString(`<tr><td><a href="/item/1">#1</a></td><td>toyota</td><td>12345</td></tr>`)
-	}
-	sb.WriteString(`</table></body></html>`)
-	page := sb.String()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		root := htmlx.Parse(page)
-		if htmlx.TableByID(root, "results") == nil {
-			b.Fatal("table lost")
-		}
-	}
-	b.SetBytes(int64(len(page)))
 }
 
 // BenchmarkEndToEndDraw measures the complete facade path: walk + history

@@ -1,6 +1,6 @@
 // Command docscheck enforces the repo's documentation invariants in CI:
 //
-//   - Every Go package (internal/, cmd/, examples/, and the root) has a
+//   - Every Go package (internal/, cmd/, and the root) has a
 //     package comment — the one-paragraph contract ARCHITECTURE.md's
 //     per-package table is built from. A package whose doc comment lives
 //     in any one of its files passes; a package with none fails.

@@ -57,11 +57,11 @@
 // path: queries carry a canonical signature (cached key + 64-bit hash)
 // computed once at construction, the history cache and execution layer
 // key their maps on that hash with full-key collision verification, the
-// simulated backend intersects posting lists on pooled scratch with
-// galloping cursors, and results share immutable tuple storage instead
+// simulated backend intersects compressed posting bitmaps on pooled
+// scratch, and results share immutable tuple storage instead
 // of deep-cloning per layer (hiddendb.Result documents the read-only
 // convention). See README.md's "Performance" section for the design and
 // the measured before/after numbers.
 //
-// See examples/ for runnable programs and cmd/ for the CLI tools.
+// See example_test.go for runnable examples and cmd/ for the CLI tools.
 package hdsampler

@@ -82,10 +82,9 @@ type ExecConfig struct {
 	// multiplicatively cut on 429 pushback. 0 disables concurrency
 	// limiting.
 	MaxInFlight int
-	// RatePerSec caps the replicas' aggregate wire request rate — unlike
-	// formclient's per-goroutine Politeness delay, which N replicas each
-	// apply independently (so a site sees N× the configured rate), this
-	// bounds the sum. 0 disables.
+	// RatePerSec caps the replicas' aggregate wire request rate: the one
+	// per-host pacing knob, bounding the sum over every replica sharing
+	// the connector. 0 disables.
 	RatePerSec float64
 	// Burst is the rate cap's token bucket capacity (default 10).
 	Burst int

@@ -3,9 +3,9 @@
 // (top-k limits of real sites, the efficiency↔skew slider, history
 // savings, brute-force impracticality, count leveraging, aggregate
 // accuracy, scalability, attribute ordering). Each experiment returns a
-// Table whose rows cmd/hdbench prints and whose Metrics the root package's
-// benchmarks report, so the numbers in EXPERIMENTS.md are reproducible
-// from either entry point.
+// Table whose rows cmd/hdbench prints (`hdbench -list` names them) and
+// whose Metrics the root package's benchmarks report, so each table is
+// reproducible from either entry point.
 package experiments
 
 import (
@@ -118,8 +118,6 @@ func All() []Experiment {
 		{"ordering", "2007 §opt — fixed vs shuffled attribute order", Ordering},
 		{"crawl", "§1 — crawling vs sampling for one aggregate", CrawlVsSample},
 		{"weighted", "ext — Horvitz–Thompson weighting vs rejection", WeightedEstimation},
-		{"deployment", "ext — the fully realistic interface end to end", Deployment},
-		{"cache", "ext — shared history cache under concurrency", CacheConcurrency},
 		{"exec", "ext — query-execution layer wire savings", ExecLayer},
 	}
 }

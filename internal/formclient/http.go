@@ -44,11 +44,8 @@ type HTTPOptions struct {
 	MaxRetries int
 	// MaxRetryWait caps the per-attempt backoff duration; defaults to 5s.
 	MaxRetryWait time.Duration
-	// Politeness inserts a delay before every request after the first —
-	// basic crawler etiquette against production sites. Zero disables it.
-	Politeness time.Duration
-	// Sleep is the sleep function for backoff and politeness, overridable
-	// by tests; defaults to a context-aware sleep.
+	// Sleep is the sleep function for retry backoff, overridable by tests;
+	// defaults to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
@@ -65,7 +62,6 @@ type HTTP struct {
 	requests   atomic.Int64
 	retries    atomic.Int64
 	transients atomic.Int64
-	requested  atomic.Bool // politeness: first request is immediate
 }
 
 // NewHTTP builds a connector for the site rooted at baseURL, e.g.
@@ -114,11 +110,6 @@ func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 		if attempt > 0 {
 			retrying.Add(1)
 			if err := h.opts.Sleep(ctx, lastWait); err != nil {
-				return nil, err
-			}
-		}
-		if h.opts.Politeness > 0 && !h.requested.CompareAndSwap(false, true) {
-			if err := h.opts.Sleep(ctx, h.opts.Politeness); err != nil {
 				return nil, err
 			}
 		}

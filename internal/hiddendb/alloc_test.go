@@ -92,33 +92,10 @@ func TestDBExecuteExactCountAllocs(t *testing.T) {
 	}
 }
 
-func TestDBExecuteAllocsSortedBackend(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; ceilings measured without -race")
-	}
-	// The sorted reference backend shares Execute's allocation budget.
-	db, q := allocBackendDB(t, CountExact, PostingsSorted)
-	if _, err := db.Execute(q); err != nil {
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(200, func() {
-		if _, err := db.Execute(q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n > 3 {
-		t.Fatalf("Execute (sorted backend) allocated %.1f per call, want <= 3", n)
-	}
-}
-
 // allocTestDB builds a small database and a two-predicate query that
 // overflows K, so both the truncated scan and the exact-count full scan
 // are exercised.
 func allocTestDB(t *testing.T, mode CountMode) (*DB, Query) {
-	return allocBackendDB(t, mode, PostingsBitmap)
-}
-
-func allocBackendDB(t *testing.T, mode CountMode, backend PostingBackend) (*DB, Query) {
 	t.Helper()
 	schema := MustSchema("alloc",
 		CatAttr("a", "x", "y", "z"),
@@ -128,7 +105,7 @@ func allocBackendDB(t *testing.T, mode CountMode, backend PostingBackend) (*DB, 
 	for i := range tuples {
 		tuples[i] = Tuple{Vals: []int{i % 3, i % 2}}
 	}
-	db, err := New(schema, tuples, nil, Config{K: 50, CountMode: mode, Postings: backend})
+	db, err := New(schema, tuples, nil, Config{K: 50, CountMode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

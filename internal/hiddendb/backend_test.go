@@ -78,61 +78,49 @@ func diffQueries(rng *rand.Rand, schema *Schema) []Query {
 	return qs
 }
 
-// compareBackends runs every query against both databases and fails on
-// the first divergence in tuples, overflow flag, or count.
-func compareBackends(t *testing.T, want, got *DB, qs []Query, label string) {
-	t.Helper()
-	for _, q := range qs {
-		rw, err := want.Execute(q)
-		if err != nil {
-			t.Fatalf("%s: reference Execute(%s): %v", label, q.Key(), err)
-		}
-		rg, err := got.Execute(q)
-		if err != nil {
-			t.Fatalf("%s: Execute(%s): %v", label, q.Key(), err)
-		}
-		if rg.Overflow != rw.Overflow || rg.Count != rw.Count || len(rg.Tuples) != len(rw.Tuples) {
-			t.Fatalf("%s: query %s diverges: overflow %v/%v count %d/%d rows %d/%d",
-				label, q.Key(), rg.Overflow, rw.Overflow, rg.Count, rw.Count, len(rg.Tuples), len(rw.Tuples))
-		}
-		for i := range rw.Tuples {
-			if rg.Tuples[i].ID != rw.Tuples[i].ID {
-				t.Fatalf("%s: query %s row %d: tuple %d, want %d",
-					label, q.Key(), i, rg.Tuples[i].ID, rw.Tuples[i].ID)
-			}
-		}
-		if cw, cg := want.TrueCount(q), got.TrueCount(q); cw != cg {
-			t.Fatalf("%s: query %s TrueCount %d, want %d", label, q.Key(), cg, cw)
-		}
-	}
-}
-
-// TestPostingBackendsAgree is the differential test: the bitmap backend
-// must be indistinguishable from the sorted-slice reference across modes
-// and query shapes.
+// TestPostingBackendsAgree is the differential test: Execute's bitmap
+// intersections must answer exactly as a scan of the tuples in rank
+// order does — the first K matches, overflow iff more than K match, and
+// the exact total under CountExact — across count modes and query shapes.
 func TestPostingBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	schema := diffSchema(t)
-	const n = 30000
-	base := diffTuples(rng, n)
-	clone := func() []Tuple {
-		out := make([]Tuple, len(base))
-		for i := range base {
-			out[i] = Tuple{Vals: append([]int{}, base[i].Vals...)}
-		}
-		return out
-	}
+	base := diffTuples(rng, 30000)
 	qs := diffQueries(rng, schema)
 	for _, mode := range []CountMode{CountNone, CountExact} {
-		ranker := HashRanker{Seed: 7}
-		sorted, err := New(schema, clone(), ranker, Config{K: 50, CountMode: mode, Postings: PostingsSorted})
+		db, err := New(schema, append([]Tuple(nil), base...), HashRanker{Seed: 7}, Config{K: 50, CountMode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := New(schema, clone(), ranker, Config{K: 50, CountMode: mode})
-		if err != nil {
-			t.Fatal(err)
+		vals, ids := db.ValsByRank()
+		for _, q := range qs {
+			var want []int
+			total := 0
+			for i, v := range vals {
+				if q.Matches(v) {
+					total++
+					if len(want) < db.K() {
+						want = append(want, ids[i])
+					}
+				}
+			}
+			wantCount := CountAbsent
+			if mode == CountExact {
+				wantCount = total
+			}
+			res, err := db.Execute(q)
+			if err != nil {
+				t.Fatalf("%s: Execute(%s): %v", mode, q.Key(), err)
+			}
+			if res.Overflow != (total > db.K()) || res.Count != wantCount || len(res.Tuples) != len(want) {
+				t.Fatalf("%s: query %s: overflow %v count %d rows %d, scan has %d matches (count %d, %d rows)",
+					mode, q.Key(), res.Overflow, res.Count, len(res.Tuples), total, wantCount, len(want))
+			}
+			for i, tu := range res.Tuples {
+				if tu.ID != want[i] {
+					t.Fatalf("%s: query %s row %d: tuple %d, scan has %d", mode, q.Key(), i, tu.ID, want[i])
+				}
+			}
 		}
-		compareBackends(t, sorted, bm, qs, "bitmap/"+mode.String())
 	}
 }

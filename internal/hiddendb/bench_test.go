@@ -7,9 +7,8 @@ import (
 
 // benchSkewDB builds a database engineered for skewed posting lists: a
 // selective attribute whose values each match ~1% of tuples, and a common
-// attribute whose value 0 matches 95% — the shape where per-candidate
-// binary search over the long list wastes the most work versus a galloping
-// cursor that only ever moves forward.
+// attribute whose value 0 matches 95%, so the intersection pairs a sparse
+// list with a dense one.
 func benchSkewDB(b *testing.B, n int, mode CountMode) (*DB, Query) {
 	b.Helper()
 	rareVals := make([]string, 100)

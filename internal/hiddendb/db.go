@@ -41,35 +41,6 @@ func (m CountMode) String() string {
 	}
 }
 
-// PostingBackend selects the posting-list representation behind
-// Execute's conjunctive intersections.
-type PostingBackend int
-
-const (
-	// PostingsBitmap (the default) stores posting lists as roaring-style
-	// compressed bitmaps (internal/hiddendb/bitmap): array/bitmap/run
-	// containers keyed by the high 16 bits of the rank position, with
-	// word-level AND kernels and free exact counts from container
-	// cardinalities. This is the backend that holds at 100M+ tuples.
-	PostingsBitmap PostingBackend = iota
-	// PostingsSorted is the PR 4 sorted-[]int32 representation with
-	// galloping intersection, kept as the differential-testing and
-	// benchmarking reference for the bitmap backend.
-	PostingsSorted
-)
-
-// String returns the backend's name.
-func (p PostingBackend) String() string {
-	switch p {
-	case PostingsBitmap:
-		return "bitmap"
-	case PostingsSorted:
-		return "sorted"
-	default:
-		return fmt.Sprintf("postings(%d)", int(p))
-	}
-}
-
 // Config tunes a DB's interface behaviour.
 type Config struct {
 	// K is the top-k limit: the maximum tuples displayed per query.
@@ -88,9 +59,6 @@ type Config struct {
 	// interface will answer before returning ErrBudgetExhausted — data
 	// providers commonly cap queries per client.
 	QueryBudget int64
-	// Postings selects the posting-list representation (default
-	// PostingsBitmap).
-	Postings PostingBackend
 }
 
 // ErrBudgetExhausted is returned once a DB's QueryBudget is spent.
@@ -107,21 +75,17 @@ type DB struct {
 
 	// tuples in insertion order; IDs are positions here.
 	tuples []Tuple
-	// rankPos[id] is the tuple's position in the global rank order
-	// (0 = best). byRank is the inverse permutation.
-	rankPos []int32
-	byRank  []int32
-	// postings[attr][value] lists matching tuples as rank positions,
-	// ascending, so intersections stream out in rank order. Exactly one
-	// of the two representations is populated, per Config.Postings:
-	// sorted []int32 slices, or roaring-style compressed bitmaps. A nil
-	// bitPostings entry means no tuple has that value.
-	postings    [][][]int32
-	bitPostings [][]*bitmap.Bitmap
+	// byRank[pos] is the ID of the tuple at position pos of the global
+	// rank order (0 = best).
+	byRank []int32
+	// postings[attr][value] holds the matching tuples' rank positions as
+	// a roaring-style compressed bitmap, so intersections stream out in
+	// rank order. A nil entry means no tuple has that value.
+	postings [][]*bitmap.Bitmap
 
-	// scratch pools per-Execute intersection state (posting-list views,
-	// galloping cursors, match buffer) so the hot path allocates nothing
-	// beyond the Result it returns.
+	// scratch pools per-Execute intersection state (posting views, result
+	// bitmap, match buffer) so the hot path allocates nothing beyond the
+	// Result it returns.
 	scratch sync.Pool
 
 	queries atomic.Int64
@@ -129,11 +93,9 @@ type DB struct {
 
 // matchScratch is the reusable per-Execute intersection state.
 type matchScratch struct {
-	lists   [][]int32
-	cursors []int
-	out     []int32
-	views   []*bitmap.Bitmap
-	res     *bitmap.Bitmap
+	out   []int32
+	views []*bitmap.Bitmap
+	res   *bitmap.Bitmap
 }
 
 // New builds a DB over the given tuples. Tuples are validated against the
@@ -197,59 +159,31 @@ func (db *DB) buildRank() {
 		}
 		return a < b
 	})
-	db.rankPos = make([]int32, n)
-	for pos, id := range db.byRank {
-		db.rankPos[id] = int32(pos)
-	}
 }
 
 func (db *DB) buildPostings() {
-	if db.cfg.Postings == PostingsSorted {
-		db.buildSortedPostings()
-		return
-	}
 	m := len(db.schema.Attrs)
-	db.bitPostings = make([][]*bitmap.Bitmap, m)
+	db.postings = make([][]*bitmap.Bitmap, m)
 	for a := 0; a < m; a++ {
-		db.bitPostings[a] = make([]*bitmap.Bitmap, db.schema.DomainSize(a))
+		db.postings[a] = make([]*bitmap.Bitmap, db.schema.DomainSize(a))
 	}
 	// Iterate in rank order so every Add is an ascending tail append —
 	// O(1) amortized per value, no mid-container memmoves even at 100M.
 	for pos, id := range db.byRank {
 		for a, v := range db.tuples[id].Vals {
-			pb := db.bitPostings[a][v]
+			pb := db.postings[a][v]
 			if pb == nil {
 				pb = bitmap.New()
-				db.bitPostings[a][v] = pb
+				db.postings[a][v] = pb
 			}
 			pb.Add(uint32(pos))
 		}
 	}
-	for a := range db.bitPostings {
-		for _, pb := range db.bitPostings[a] {
+	for a := range db.postings {
+		for _, pb := range db.postings[a] {
 			if pb != nil {
 				pb.Optimize()
 			}
-		}
-	}
-}
-
-func (db *DB) buildSortedPostings() {
-	m := len(db.schema.Attrs)
-	db.postings = make([][][]int32, m)
-	for a := 0; a < m; a++ {
-		db.postings[a] = make([][]int32, db.schema.DomainSize(a))
-	}
-	for id := range db.tuples {
-		pos := db.rankPos[id]
-		for a, v := range db.tuples[id].Vals {
-			db.postings[a][v] = append(db.postings[a][v], pos)
-		}
-	}
-	for a := range db.postings {
-		for v := range db.postings[a] {
-			p := db.postings[a][v]
-			sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
 		}
 	}
 }
@@ -294,13 +228,7 @@ func (db *DB) Execute(q Query) (*Result, error) {
 	// same intersection pass instead of re-deriving the whole intersection
 	// afterwards. Count-free interfaces stop scanning at K+1.
 	needTotal := db.cfg.CountMode != CountNone
-	var matchPos []int32
-	var total int
-	if db.cfg.Postings == PostingsSorted {
-		matchPos, total = db.matchPositions(sc, q, db.cfg.K+1, needTotal)
-	} else {
-		matchPos, total = db.matchBitmap(sc, q, db.cfg.K+1, needTotal)
-	}
+	matchPos, total := db.matchBitmap(sc, q, db.cfg.K+1, needTotal)
 	// The answer's two-allocation budget: the Result header here plus its
 	// Tuples slice below.
 	res := &Result{Count: CountAbsent}
@@ -322,69 +250,8 @@ func (db *DB) Execute(q Query) (*Result, error) {
 	return res, nil
 }
 
-// matchPositions intersects the query's posting lists into sc.out: the
-// first limit matching rank positions in rank order. When needTotal is
-// set, the scan continues past limit (appending nothing further) so total
-// is the exact match count; otherwise total stops at limit, which still
-// decides overflow when limit = K+1.
-//
-// The intersection is seeded from the shortest list and galloped: each
-// longer list keeps a monotone cursor advanced by exponential probing plus
-// binary search over the bracketed window, so a candidate costs O(log gap)
-// rather than a fresh O(log n) binary search — and an exhausted list ends
-// the whole scan early, since no later candidate can match.
-func (db *DB) matchPositions(sc *matchScratch, q Query, limit int, needTotal bool) (pos []int32, total int) {
-	d := q.Len()
-	if d == 0 {
-		return db.matchAll(sc, limit)
-	}
-	lists := sc.lists[:0]
-	for i := 0; i < d; i++ {
-		p := q.Pred(i)
-		lists = append(lists, db.postings[p.Attr][p.Value])
-	}
-	// Shortest list first. d is tiny (bounded by the schema width), so an
-	// in-place insertion sort beats sort.Slice and its closure allocation.
-	for i := 1; i < len(lists); i++ {
-		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
-			lists[j], lists[j-1] = lists[j-1], lists[j]
-		}
-	}
-	sc.lists = lists
-	cursors := sc.cursors[:0]
-	for range lists {
-		cursors = append(cursors, 0)
-	}
-	sc.cursors = cursors
-	out := sc.out[:0]
-outer:
-	for _, cand := range lists[0] {
-		for j := 1; j < len(lists); j++ {
-			l := lists[j]
-			k := gallop(l, cursors[j], cand)
-			cursors[j] = k
-			if k == len(l) {
-				break outer // list exhausted: nothing later can match
-			}
-			if l[k] != cand {
-				continue outer
-			}
-		}
-		total++
-		if len(out) < limit {
-			out = append(out, cand)
-		}
-		if !needTotal && total >= limit {
-			break
-		}
-	}
-	sc.out = out
-	return out, total
-}
-
-// matchAll answers the empty (predicate-free) query shared by both
-// posting backends: every tuple matches, so the first limit rank
-// positions are simply 0..limit-1.
+// matchAll answers the empty (predicate-free) query: every tuple
+// matches, so the first limit rank positions are simply 0..limit-1.
 func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
 	total = len(db.tuples)
 	n := total
@@ -399,14 +266,14 @@ func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
 	return out, total
 }
 
-// matchBitmap is matchPositions for the bitmap backend: it intersects
-// the query's posting bitmaps into sc.res, seeded from the
-// lowest-cardinality predicate, and materializes the first limit rank
-// positions into sc.out. The exact total falls out of the result
-// cardinality for free when needTotal is set (the CountExact single-pass
-// contract); otherwise the intersection early-exits once limit values
-// are known, and total is only guaranteed to be ≥ limit or exact —
-// still enough to decide overflow at limit = K+1.
+// matchBitmap intersects the query's posting bitmaps into sc.res,
+// seeded from the lowest-cardinality predicate, and materializes the
+// first limit matching rank positions, in rank order, into sc.out. The
+// exact total falls out of the result cardinality for free when
+// needTotal is set (the CountExact single-pass contract); otherwise the
+// intersection early-exits once limit values are known, and total is
+// only guaranteed to be ≥ limit or exact — still enough to decide
+// overflow at limit = K+1.
 func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) (pos []int32, total int) {
 	d := q.Len()
 	if d == 0 {
@@ -415,7 +282,7 @@ func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) 
 	views := sc.views[:0]
 	for i := 0; i < d; i++ {
 		p := q.Pred(i)
-		pb := db.bitPostings[p.Attr][p.Value]
+		pb := db.postings[p.Attr][p.Value]
 		if pb == nil {
 			// No tuple carries this value: the conjunction is empty.
 			sc.views = views
@@ -452,49 +319,6 @@ func (db *DB) materialize(sc *matchScratch, b *bitmap.Bitmap, limit, total int) 
 	return out, total
 }
 
-// gallop returns the smallest index i in [lo, len(l)] with l[i] >= x,
-// assuming l ascending. It probes exponentially from lo, then binary
-// searches the bracketed window, so advancing a cursor over a small gap is
-// O(log gap) with mostly-local memory accesses.
-func gallop(l []int32, lo int, x int32) int {
-	if lo >= len(l) || l[lo] >= x {
-		return lo
-	}
-	step := 1
-	for lo+step < len(l) && l[lo+step] < x {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > len(l) {
-		hi = len(l)
-	}
-	// Invariant: l[lo] < x, and hi == len(l) or l[hi] >= x.
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid] < x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// TrueCount returns the exact number of tuples matching q, bypassing the
-// interface; experiments use it for ground truth, never the samplers.
-func (db *DB) TrueCount(q Query) int {
-	sc := db.scratch.Get().(*matchScratch)
-	var total int
-	if db.cfg.Postings == PostingsSorted {
-		_, total = db.matchPositions(sc, q, 0, true)
-	} else {
-		_, total = db.matchBitmap(sc, q, 0, true)
-	}
-	db.scratch.Put(sc)
-	return total
-}
-
 // approxCount perturbs the exact count by a deterministic multiplicative
 // factor in [1-noise, 1+noise] derived from the query key, modelling a
 // fixed proprietary estimator. Zero counts stay zero (sites say "no
@@ -520,17 +344,6 @@ func (db *DB) approxCount(q Query, exact int) int {
 // Tuple returns tuple id by value (ground-truth access for experiments).
 func (db *DB) Tuple(id int) Tuple {
 	return db.tuples[id].Clone()
-}
-
-// RankOrder returns all tuple IDs in global rank order (best first) — a
-// ground-truth accessor used by the exact walk-distribution analyzer,
-// never by samplers.
-func (db *DB) RankOrder() []int {
-	out := make([]int, len(db.byRank))
-	for i, id := range db.byRank {
-		out[i] = int(id)
-	}
-	return out
 }
 
 // ValsByRank returns each tuple's value vector, ordered by rank (row i is

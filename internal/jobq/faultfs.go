@@ -1,7 +1,6 @@
 package jobq
 
 import (
-	"errors"
 	"os"
 	"sync"
 	"syscall"
@@ -154,9 +153,3 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error { return ff.inner.Close() }
-
-// IsDiskFault reports whether err is one of the error kinds FaultFS
-// injects (EIO/ENOSPC), for tests asserting failure provenance.
-func IsDiskFault(err error) bool {
-	return errors.Is(err, syscall.EIO) || errors.Is(err, syscall.ENOSPC)
-}

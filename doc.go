@@ -34,7 +34,8 @@
 //     (complementing the history cache's completed-query memoization), an
 //     AIMD adaptive concurrency limiter with an aggregate per-host rate
 //     budget, and bounded transient retry (Config.Exec tunes it)
-//   - internal/core — the samplers, rejection and pipeline
+//   - internal/core — the samplers, rejection, and Draw: the one draw
+//     loop, with live counters and cancellation as its kill switch
 //   - internal/jobsvc — the sampling job-orchestration service behind
 //     cmd/hdsamplerd: worker pools, a query stack per target and history
 //     mode, politeness budgets, checkpoints and the REST API

@@ -109,27 +109,6 @@ func ExampleDrawParallel() {
 	// accepted 80 of 80 requested
 }
 
-// ExampleSampler_NewPipeline streams samples incrementally with a kill
-// switch, the demo's Figure 2 interaction.
-func ExampleSampler_NewPipeline() {
-	ds := datagen.Vehicles(5000, 2)
-	db, _ := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 500})
-	ctx := context.Background()
-	s, err := hdsampler.New(ctx, hdsampler.LocalConn(db), hdsampler.Config{ShuffleOrder: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pipe := s.NewPipeline(0) // unbounded: run until stopped
-	got := 0
-	for range pipe.Start(ctx) {
-		got++
-		if got == 25 {
-			pipe.Stop() // the kill switch
-		}
-	}
-	fmt.Println(got >= 25)
-}
-
 // ExampleSampler_DrawWeighted estimates an aggregate and the database size
 // from unrejected candidates via Horvitz–Thompson weighting.
 func ExampleSampler_DrawWeighted() {

@@ -30,10 +30,6 @@ type (
 	Result = hiddendb.Result
 	// Conn is the restricted interface connector samplers draw through.
 	Conn = formclient.Conn
-	// Sample is one accepted sample with provenance.
-	Sample = core.Sample
-	// Pipeline streams samples incrementally with a kill switch.
-	Pipeline = core.Pipeline
 	// Estimate is a point estimate with a standard error.
 	Estimate = estimate.Estimate
 	// Marginal is a sampled attribute histogram.
@@ -167,8 +163,10 @@ type Stats struct {
 	Candidates int64
 	Accepted   int64
 	Rejected   int64
-	// Queries is the number of interface queries the generator issued;
-	// QueriesSaved the number answered by the history cache instead.
+	// Queries is the interface query bill of the processed candidates,
+	// the sum of their draw costs (a draw cut short by an error is not
+	// billed); QueriesSaved is the number answered by the history cache
+	// instead.
 	Queries      int64
 	QueriesSaved int64
 	// QueriesCoalesced counts queries answered by joining an identical
@@ -288,28 +286,23 @@ func (r replica) C() float64 {
 	}
 }
 
-// NewPipeline returns an incremental pipeline targeting n samples (0 = run
-// until the kill switch); read samples from Pipeline.Start.
-func (r replica) NewPipeline(n int) *Pipeline {
-	return core.NewPipeline(r.gen, r.rej, core.PipelineConfig{Target: n})
-}
-
 // Draw synchronously collects n accepted samples. Stats are per-call
 // deltas: the stack's savings (QueriesSaved, QueriesCoalesced,
 // QueriesRetried) are windowed over this call like every other counter,
 // so consecutive Draws never double-report them.
 func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	m := s.stack.mark()
-	tuples, cs, err := core.Collect(ctx, s.gen, s.rej, n)
-	st := Stats{
-		Candidates: cs.Candidates,
-		Accepted:   cs.Accepted,
-		Rejected:   cs.Rejected,
-		Queries:    cs.Queries,
-		Elapsed:    cs.Elapsed,
-	}
+	start := time.Now()
+	tuples, c, err := core.Collect(ctx, s.gen, s.rej, n)
+	st := statsOf(c)
+	st.Elapsed = time.Since(start)
 	s.stack.fill(&st, m)
 	return tuples, st, err
+}
+
+// statsOf converts a draw loop's counts to Stats.
+func statsOf(c core.Counts) Stats {
+	return Stats{Candidates: c.Candidates, Accepted: c.Accepted, Rejected: c.Rejected, Queries: c.Queries}
 }
 
 // ExecStats returns the execution layer's counters.

@@ -2,9 +2,11 @@ package hdsampler
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/hiddendb"
@@ -144,21 +146,37 @@ func TestFacadeOverHTTP(t *testing.T) {
 
 func TestFacadePipelineKillSwitch(t *testing.T) {
 	_, conn := localVehicles(t, 1000, 200, hiddendb.CountNone)
-	ctx := context.Background()
-	s, err := New(ctx, conn, Config{Seed: 8})
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	rs, err := NewReplicaSet(ctx, conn, Config{Seed: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.NewPipeline(0)
-	ch := p.Start(ctx)
-	for i := 0; i < 10; i++ {
-		<-ch
+	type result struct {
+		tuples []Tuple
+		err    error
 	}
-	p.Stop()
-	for range ch {
+	done := make(chan result, 1)
+	go func() {
+		tuples, _, err := rs.Draw(ctx, 1_000_000)
+		done <- result{tuples, err}
+	}()
+	// Watch the live counters until 10 samples are in, then cancel: the
+	// kill switch.
+	for rs.Progress().Accepted < 10 {
+		select {
+		case r := <-done:
+			t.Fatalf("draw ended before the kill switch: %d samples, %v", len(r.tuples), r.err)
+		case <-time.After(time.Millisecond):
+		}
 	}
-	if !p.Progress().Done {
-		t.Fatal("pipeline should be done after Stop")
+	kill()
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", r.err)
+	}
+	if pr := rs.Progress(); pr.Accepted != int64(len(r.tuples)) || len(rs.Samples()) != len(r.tuples) {
+		t.Fatalf("stopped run: %d tuples, %d samples, progress %+v", len(r.tuples), len(rs.Samples()), pr)
 	}
 }
 

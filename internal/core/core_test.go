@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/formclient"
@@ -524,20 +523,22 @@ func TestPipelineTargetAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(w, NewRejector(0.125, 23), PipelineConfig{Target: 50})
-	var got []Sample
-	for s := range p.Start(ctx) {
-		got = append(got, s)
+	var tally Tally
+	var got []*Candidate
+	if err := Draw(ctx, w, NewRejector(0.125, 23), 50, &tally, func(c *Candidate) { got = append(got, c) }); err != nil {
+		t.Fatalf("draw error: %v", err)
 	}
 	if len(got) != 50 {
 		t.Fatalf("samples = %d, want 50", len(got))
 	}
-	if err := p.Err(); err != nil {
-		t.Fatalf("pipeline error: %v", err)
+	c := tally.Counts()
+	if c.Accepted != 50 || c.Candidates != c.Accepted+c.Rejected || c.Rejected == 0 {
+		t.Fatalf("counts = %+v", c)
 	}
-	pr := p.Progress()
-	if !pr.Done || pr.Accepted < 50 || pr.Candidates < pr.Accepted || pr.Queries == 0 {
-		t.Fatalf("progress = %+v", pr)
+	// The loop draws no candidate it does not process, so the tally bills
+	// exactly the generator's queries.
+	if gs := w.GenStats(); c.Queries != gs.Queries || c.Candidates != gs.Candidates {
+		t.Fatalf("counts %+v, generator %+v", c, gs)
 	}
 	for _, s := range got {
 		if s.Reach <= 0 || s.Tuple.Vals == nil {
@@ -546,53 +547,27 @@ func TestPipelineTargetAndProgress(t *testing.T) {
 	}
 }
 
-func TestPipelineElapsedFreezesAtCompletion(t *testing.T) {
-	db := fig1DB(t, 1)
-	ctx := context.Background()
-	w, err := NewWalker(ctx, formclient.NewLocal(db), WalkerConfig{Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPipeline(w, nil, PipelineConfig{Target: 5})
-	for range p.Start(ctx) {
-	}
-	first := p.Progress()
-	if !first.Done {
-		t.Fatalf("pipeline not done: %+v", first)
-	}
-	if first.Elapsed <= 0 {
-		t.Fatalf("finished pipeline has elapsed %v", first.Elapsed)
-	}
-	time.Sleep(30 * time.Millisecond)
-	second := p.Progress()
-	if second.Elapsed != first.Elapsed {
-		t.Fatalf("elapsed kept ticking after completion: %v then %v", first.Elapsed, second.Elapsed)
-	}
-}
-
 func TestPipelineKillSwitch(t *testing.T) {
 	db := fig1DB(t, 1)
-	ctx := context.Background()
-	w, err := NewWalker(ctx, formclient.NewLocal(db), WalkerConfig{Seed: 24})
+	w, err := NewWalker(context.Background(), formclient.NewLocal(db), WalkerConfig{Seed: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(w, nil, PipelineConfig{}) // unbounded run
-	ch := p.Start(ctx)
-	// Read a few samples, then hit the kill switch.
-	for i := 0; i < 5; i++ {
-		if _, ok := <-ch; !ok {
-			t.Fatal("channel closed early")
+	// Read a few samples, then hit the kill switch from the output stage.
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	var tally Tally
+	got := 0
+	err = Draw(ctx, w, nil, 1000, &tally, func(*Candidate) {
+		if got++; got == 5 {
+			kill()
 		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	p.Stop()
-	for range ch {
-	} // drain until close
-	if !p.Progress().Done {
-		t.Error("pipeline not marked done after Stop")
-	}
-	if err := p.Err(); err != nil {
-		t.Errorf("kill switch should not surface an error, got %v", err)
+	if got != 5 || tally.Counts().Accepted != 5 {
+		t.Fatalf("kill switch let %d samples through (tally %+v), want 5", got, tally.Counts())
 	}
 }
 
@@ -608,11 +583,9 @@ func TestPipelineSurfacesGeneratorError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(cw, nil, PipelineConfig{Target: 5})
-	for range p.Start(ctx) {
-	}
-	if !errors.Is(p.Err(), ErrNoCounts) {
-		t.Fatalf("want ErrNoCounts, got %v", p.Err())
+	err = Draw(ctx, cw, nil, 5, &Tally{}, func(*Candidate) { t.Error("sample emitted") })
+	if !errors.Is(err, ErrNoCounts) {
+		t.Fatalf("want ErrNoCounts, got %v", err)
 	}
 }
 

@@ -2,9 +2,10 @@
 // HIDDEN-DB-SAMPLER random drill-down (SIGMOD 2007), the provably-uniform
 // BRUTE-FORCE-SAMPLER validation baseline, the count-weighted drill-down
 // from the ICDE 2009 count-leveraging work, the acceptance/rejection
-// processor realizing the demo's efficiency↔skew slider, and the
-// incremental Generator → Processor → Output pipeline of the demo's
-// architecture (Figure 2), complete with its kill switch.
+// processor realizing the demo's efficiency↔skew slider, and Draw, the
+// one loop that runs every sampler: the demo's Generator → Processor →
+// Output architecture (Figure 2) on the caller's goroutine, with live
+// atomic counters and cancellation of its context as the kill switch.
 //
 // All samplers access the hidden database exclusively through a
 // formclient.Conn — the conjunctive top-k interface — and never see

@@ -22,9 +22,9 @@ import (
 // The demo exposes this choice as a slider (§3.1); SliderC maps the slider
 // position onto C.
 //
-// A Rejector is safe for concurrent use: replica pools and shared
-// pipelines may call Accept from many goroutines. C must not be mutated
-// after construction.
+// A Rejector is safe for concurrent use: replica pools and draw loops
+// sharing one acceptor may call Accept from many goroutines. C must not
+// be mutated after construction.
 type Rejector struct {
 	// C is the target reach probability; treat as immutable once built.
 	C float64

@@ -7,7 +7,7 @@ import (
 
 // Shared-acceptor regression: DrawParallel/ReplicaSet give every replica
 // its own seeded acceptor, but the jobsvc worker pools and any caller
-// wiring one Acceptor into several pipelines must be able to share one
+// wiring one Acceptor into several draw loops must be able to share one
 // safely. Run under -race, this test fails loudly if Accept's counters or
 // rng lose their synchronization again.
 func TestRejectorSharedAcrossGoroutines(t *testing.T) {

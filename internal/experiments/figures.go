@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"time"
@@ -98,7 +99,7 @@ func minF(a, b float64) float64 {
 }
 
 // Figure2 reproduces the architecture demonstration: the incremental
-// Generator→Processor→Output pipeline delivering samples continuously, and
+// Generator→Processor→Output loop delivering samples continuously, and
 // the kill switch stopping a run mid-flight.
 func Figure2(ctx context.Context, sc Scale) (*Table, error) {
 	n := sc.pick(4000, 20000)
@@ -112,10 +113,10 @@ func Figure2(ctx context.Context, sc Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe := core.NewPipeline(gen, nil, core.PipelineConfig{Target: target})
 	acc := estimate.NewAccumulator(db.Schema(), 10)
 	start := time.Now()
 	var collected []hiddendb.Tuple
+	var tally core.Tally
 
 	t := &Table{
 		ID:     "figure2",
@@ -123,47 +124,46 @@ func Figure2(ctx context.Context, sc Scale) (*Table, error) {
 		Header: []string{"samples", "queries", "elapsed(ms)", "TV(make) vs truth"},
 	}
 	milestones := map[int]bool{target / 4: true, target / 2: true, 3 * target / 4: true, target: true}
-	for s := range pipe.Start(ctx) {
-		acc.Add(s.Tuple)
-		collected = append(collected, s.Tuple)
+	err = core.Draw(ctx, gen, nil, target, &tally, func(c *core.Candidate) {
+		acc.Add(c.Tuple)
+		collected = append(collected, c.Tuple)
 		if milestones[acc.N()] {
-			pr := pipe.Progress()
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", acc.N()),
-				fmt.Sprintf("%d", pr.Queries),
+				fmt.Sprintf("%d", tally.Counts().Queries),
 				fmt.Sprintf("%d", time.Since(start).Milliseconds()),
 				fmtF(marginalTV(db, collected, datagen.VehAttrMake)),
 			})
 		}
-	}
-	if err := pipe.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Kill switch: start an unbounded run, stop after target/4 samples.
+	// Kill switch: a second run cancels its context from the output
+	// stage after target/4 samples, and stops there.
 	gen2, err := core.NewWalker(ctx, conn, core.WalkerConfig{Seed: 5, Order: core.OrderShuffle})
 	if err != nil {
 		return nil, err
 	}
-	pipe2 := core.NewPipeline(gen2, nil, core.PipelineConfig{})
-	ch := pipe2.Start(ctx)
+	kctx, kill := context.WithCancel(ctx)
+	defer kill()
 	got := 0
-	for range ch {
-		got++
-		if got == target/4 {
-			pipe2.Stop()
+	err = core.Draw(kctx, gen2, nil, target, &core.Tally{}, func(*core.Candidate) {
+		if got++; got == target/4 {
+			kill()
 		}
-	}
-	if !pipe2.Progress().Done {
-		return nil, fmt.Errorf("kill switch failed to stop the pipeline")
+	})
+	if got != target/4 || !errors.Is(err, context.Canceled) {
+		return nil, fmt.Errorf("kill switch: run stopped after %d samples with %v, want %d and context.Canceled", got, err, target/4)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("vehicles n=%d, k=100, shuffled order, history cache on; unbounded second run stopped cleanly by kill switch after %d samples", n, got))
+		fmt.Sprintf("vehicles n=%d, k=100, shuffled order, history cache on; second run stopped by the kill switch after %d samples", n, got))
 	finalTV := marginalTV(db, collected, datagen.VehAttrMake)
 	t.Metrics = map[string]float64{
 		"samples":        float64(len(collected)),
 		"final-tv(make)": finalTV,
-		"queries/sample": float64(pipe.Progress().Queries) / float64(len(collected)),
+		"queries/sample": float64(tally.Counts().Queries) / float64(len(collected)),
 	}
 	return t, nil
 }
@@ -249,13 +249,11 @@ func Figure4(ctx context.Context, sc Scale) (*Table, error) {
 	var collected []hiddendb.Tuple
 	var lastTV float64
 	for _, target := range steps {
-		for len(collected) < target {
-			cand, err := gen.Candidate(ctx)
-			if err != nil {
-				return nil, err
-			}
-			collected = append(collected, cand.Tuple)
+		more, _, err := core.Collect(ctx, gen, nil, target-len(collected))
+		if err != nil {
+			return nil, err
 		}
+		collected = append(collected, more...)
 		lastTV = marginalTV(db, collected, datagen.VehAttrMake)
 		t.Rows = append(t.Rows, []string{
 			"HDSampler/HTTP",

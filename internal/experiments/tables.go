@@ -357,13 +357,11 @@ func Aggregates(ctx context.Context, sc Scale) (*Table, error) {
 	var tuples []hiddendb.Tuple
 	var lastErrs [4]float64
 	for _, target := range sizes {
-		for len(tuples) < target {
-			cand, err := gen.Candidate(ctx)
-			if err != nil {
-				return nil, err
-			}
-			tuples = append(tuples, cand.Tuple)
+		more, _, err := core.Collect(ctx, gen, nil, target-len(tuples))
+		if err != nil {
+			return nil, err
 		}
+		tuples = append(tuples, more...)
 		jp := 0.0
 		for _, idx := range japanese {
 			jp += estimate.Proportion(tuples, hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: idx})).Value

@@ -49,14 +49,13 @@ func WeightedEstimation(ctx context.Context, sc Scale) (*Table, error) {
 	ws := &estimate.WeightedSet{}
 	var tuples []hiddendb.Tuple
 	var cands []*core.Candidate
-	for len(ws.Samples) < candidates {
-		cand, err := gen.Candidate(ctx)
-		if err != nil {
-			return nil, err
-		}
-		ws.Add(cand.Tuple, cand.Reach, cand.Restarts)
-		tuples = append(tuples, cand.Tuple)
-		cands = append(cands, cand)
+	err = core.Draw(ctx, gen, nil, candidates, &core.Tally{}, func(c *core.Candidate) {
+		ws.Add(c.Tuple, c.Reach, c.Restarts)
+		tuples = append(tuples, c.Tuple)
+		cands = append(cands, c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	queries := gen.GenStats().Queries
 

@@ -20,14 +20,20 @@ import (
 
 func vehiclesServer(t *testing.T, n, k int, mode hiddendb.CountMode, opts webform.Options) (*hiddendb.DB, *httptest.Server) {
 	t.Helper()
+	db := vehiclesDB(t, n, k, mode)
+	srv := httptest.NewServer(webform.NewServer(db, opts))
+	t.Cleanup(srv.Close)
+	return db, srv
+}
+
+func vehiclesDB(t *testing.T, n, k int, mode hiddendb.CountMode) *hiddendb.DB {
+	t.Helper()
 	ds := datagen.Vehicles(n, 21)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: k, CountMode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(webform.NewServer(db, opts))
-	t.Cleanup(srv.Close)
-	return db, srv
+	return db
 }
 
 func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,13 +14,40 @@ import (
 	"hdsampler/internal/webform"
 )
 
+// blipServer serves vehiclesDB through a webform server that answers 503
+// to the first burst requests of each distinct query endpoint path and
+// query, then recovers: a site blipping under load. The form page and the
+// schema endpoint never blip.
+func blipServer(t *testing.T, n, k int, mode hiddendb.CountMode, opts webform.Options, burst int) (*hiddendb.DB, *httptest.Server) {
+	t.Helper()
+	db := vehiclesDB(t, n, k, mode)
+	inner := webform.NewServer(db, opts)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/search" || r.URL.Path == "/api/search" {
+			mu.Lock()
+			key := r.URL.Path + "?" + r.URL.RawQuery
+			seen[key]++
+			blip := seen[key] <= burst
+			mu.Unlock()
+			if blip {
+				http.Error(w, "injected 503 blip", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return db, srv
+}
+
 // TestHTMLScrapeSurvives5xxBlips drives the real HTML-scraping path
-// against a webform server that injects 503 bursts into every query
-// endpoint: the connector must absorb the blips with bounded retries and
-// still assemble correct results.
+// against a server that answers 503 bursts on every query endpoint: the
+// connector must absorb the blips with bounded retries and still assemble
+// correct results.
 func TestHTMLScrapeSurvives5xxBlips(t *testing.T) {
-	db, srv := vehiclesServer(t, 300, 50, hiddendb.CountNone,
-		webform.Options{Fault: &webform.FaultConfig{Seed: 3, Prob5xx: 1, Burst5xx: 2}})
+	db, srv := blipServer(t, 300, 50, hiddendb.CountNone, webform.Options{}, 2)
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 	// The root overflows; wanting its rows keeps the full comparison.
 	ctx := WantRows(context.Background())
@@ -47,8 +75,7 @@ func TestHTMLScrapeSurvives5xxBlips(t *testing.T) {
 // own request (a distinct blip target); the scraper must retry through
 // per-page bursts and still return the complete assembled answer.
 func TestHTMLPaginationSurvivesBlips(t *testing.T) {
-	db, srv := vehiclesServer(t, 120, 200, hiddendb.CountNone,
-		webform.Options{PageSize: 25, Fault: &webform.FaultConfig{Seed: 5, Prob5xx: 1, Burst5xx: 1}})
+	db, srv := blipServer(t, 120, 200, hiddendb.CountNone, webform.Options{PageSize: 25}, 1)
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 
 	res, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())
@@ -59,15 +86,14 @@ func TestHTMLPaginationSurvivesBlips(t *testing.T) {
 		t.Fatalf("assembled %d of %d rows — a blip dropped a page", len(res.Tuples), db.Size())
 	}
 	if st := conn.Stats(); st.TransientRetries == 0 {
-		t.Fatal("no transient retries recorded — the fault injector did not engage")
+		t.Fatal("no transient retries recorded — the blips did not engage")
 	}
 }
 
 // TestAPISurvives5xxBlips covers the machine-readable connector on the
 // same faulted server.
 func TestAPISurvives5xxBlips(t *testing.T) {
-	db, srv := vehiclesServer(t, 300, 50, hiddendb.CountExact,
-		webform.Options{Fault: &webform.FaultConfig{Seed: 11, Prob5xx: 1, Burst5xx: 2}})
+	db, srv := blipServer(t, 300, 50, hiddendb.CountExact, webform.Options{}, 2)
 	conn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 
 	res, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())

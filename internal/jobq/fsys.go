@@ -10,7 +10,8 @@ import (
 // the wire: disk failures (short writes, fsync errors, ENOSPC) must be
 // injectable deterministically so every crash point of the commit and
 // compaction protocols can be replayed in tests. Production code uses
-// OSFS; tests wrap it in a FaultFS.
+// OSFS; the package's tests wrap it in FaultFS, a test double defined in
+// faultfs_test.go.
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// OpenFile opens name like os.OpenFile. Opening a directory with

@@ -7,9 +7,10 @@
 // faultform injects 429 bursts, 5xx blips, top-k jitter, reordering and
 // rounded counts into the interface).
 //
-// Every cell runs the full production stack — replica pipelines over a
-// shared history cache over the query-execution layer (coalescing, AIMD
-// admission, transient retry) over the faulted connector — so the matrix
+// Every cell runs the full production stack — replicas, each running the
+// one draw loop (core.Draw) on its own goroutine, over a shared history
+// cache over the query-execution layer (coalescing, AIMD admission,
+// transient retry) over the faulted connector — so the matrix
 // exercises exactly the code paths a live deployment uses. Bias is gated
 // only on fault-free cells: content faults (jitter, reordering)
 // legitimately change the reachable distribution; there the matrix

@@ -37,9 +37,6 @@ type Options struct {
 	// Every page fetch re-runs the query (and is rate limited), exactly
 	// like a live site.
 	PageSize int
-	// Fault, when set, injects deterministic misbehaviour (5xx blips,
-	// latency) into the query endpoints; see FaultConfig.
-	Fault *FaultConfig
 	// Metrics, when set, registers the interface's request counters,
 	// rate-limit rejections and request-latency histogram into this
 	// registry (hiddendbd serves it on /metrics). Nil disables
@@ -57,8 +54,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
-
-	faults faultState
 
 	// Telemetry instruments (nil — and free — without Options.Metrics).
 	reqs    *telemetry.CounterVec
@@ -83,7 +78,6 @@ func NewServer(db *hiddendb.DB, opts Options) *Server {
 		s.latency = reg.Histogram("webform_request_seconds",
 			"Interface request handling latency (all endpoints).")
 	}
-	s.faults.blip = make(map[uint64]int)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/", s.instrument("form", s.handleForm))
 	s.mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
@@ -282,7 +276,7 @@ type resultRow struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if s.intercept(w, r) || s.rateLimited(w, r) {
+	if s.rateLimited(w, r) {
 		return
 	}
 	q, err := s.parseQuery(r)
@@ -446,7 +440,7 @@ type apiRow struct {
 }
 
 func (s *Server) handleAPISearch(w http.ResponseWriter, r *http.Request) {
-	if s.intercept(w, r) || s.rateLimited(w, r) {
+	if s.rateLimited(w, r) {
 		return
 	}
 	q, err := s.parseQuery(r)

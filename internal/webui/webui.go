@@ -8,6 +8,7 @@ package webui
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -18,6 +19,8 @@ import (
 	"hdsampler/internal/estimate"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/history"
+	"hdsampler/internal/queryexec"
 )
 
 // Server is the front-end HTTP handler. One sampling run is active at a
@@ -32,17 +35,22 @@ type Server struct {
 	nextSeed int64
 }
 
-// run is one sampling session.
+// run is one sampling session, drawn the way jobsvc draws a job: a
+// one-replica ReplicaSet over its own query stack, read through Progress
+// and Samples, and stopped by cancelling its context.
 type run struct {
-	pipeline *hdsampler.Pipeline
-	acc      *estimate.Accumulator
-	target   int
-	attrs    []int
-	mu       sync.Mutex
-	samples  []hiddendb.Tuple
-	done     bool
-	err      error
+	rs     *hdsampler.ReplicaSet
+	stop   context.CancelFunc
+	target int
+	attrs  []int
+
+	mu   sync.Mutex
+	done bool
+	err  error
 }
+
+// recentCap is how many of the newest samples the page lists.
+const recentCap = 20
 
 // NewServer builds the UI over a connector; k is the target interface's
 // top-k limit (used for the slider-to-C mapping; 0 defaults to 1000).
@@ -262,7 +270,10 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		K:            s.k,
 		Attrs:        attrs,
 		ShuffleOrder: r.Form.Get("shuffle") != "",
-		UseHistory:   r.Form.Get("history") != "",
+	}
+	var hist *history.Options
+	if r.Form.Get("history") != "" {
+		hist = &history.Options{}
 	}
 	switch r.Form.Get("method") {
 	case "walk", "":
@@ -276,47 +287,39 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Take the seed and advance the counter in one critical section, so
-	// concurrent starts neither race on nextSeed nor share a seed (New
-	// seeds the rejector with Seed+1, hence the step of 2).
+	// concurrent starts neither race on nextSeed nor share a seed (a
+	// replica seeds its rejector with Seed+1, hence the step of 2).
 	s.mu.Lock()
 	cfg.Seed = s.nextSeed
 	s.nextSeed += 2
 	s.mu.Unlock()
 
 	//hdlint:ignore ctxflow the launched run outlives the submitting HTTP request by design; deriving from r.Context() would cancel it on response
-	ctx := context.Background()
-	sampler, err := hdsampler.New(ctx, s.conn, cfg)
+	ctx, stop := context.WithCancel(context.Background())
+	st := hdsampler.NewStack(s.conn, queryexec.Options{}, hist)
+	rs, err := hdsampler.NewReplicaSet(ctx, st.Conn(), cfg, 1)
 	if err != nil {
+		stop()
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	ru := &run{
-		pipeline: sampler.NewPipeline(n),
-		acc:      estimate.NewAccumulator(schema, 20),
-		target:   n,
-		attrs:    attrs,
-	}
-	// Start before publishing the run, so a concurrent start or /stop only
-	// ever stops a started pipeline.
-	ch := ru.pipeline.Start(ctx)
+	ru := &run{rs: rs, stop: stop, target: n, attrs: attrs}
 
 	s.mu.Lock()
 	if s.run != nil {
-		s.run.pipeline.Stop()
+		s.run.stop()
 	}
 	s.run = ru
 	s.mu.Unlock()
 
 	go func() {
-		for sample := range ch {
-			ru.mu.Lock()
-			ru.acc.Add(sample.Tuple)
-			ru.samples = append(ru.samples, sample.Tuple)
-			ru.mu.Unlock()
+		_, _, err := rs.Draw(ctx, n)
+		if errors.Is(err, context.Canceled) {
+			err = nil // the kill switch ends a run; it is not a failure
 		}
 		ru.mu.Lock()
 		ru.done = true
-		ru.err = ru.pipeline.Err()
+		ru.err = err
 		ru.mu.Unlock()
 	}()
 	http.Redirect(w, r, "/", http.StatusSeeOther)
@@ -327,7 +330,7 @@ func (s *Server) handleStop(w http.ResponseWriter, r *http.Request) {
 	ru := s.run
 	s.mu.Unlock()
 	if ru != nil {
-		ru.pipeline.Stop()
+		ru.stop()
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -360,29 +363,33 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusResponse{Active: false})
 		return
 	}
+	// Read done before the counters and samples, so a finished run
+	// reports its final figures.
 	ru.mu.Lock()
-	defer ru.mu.Unlock()
-	pr := ru.pipeline.Progress()
+	done, runErr := ru.done, ru.err
+	ru.mu.Unlock()
+	pr := ru.rs.Progress()
+	tuples := sampleTuples(ru.rs)
 	resp := statusResponse{
 		Active:     true,
-		Done:       ru.done,
+		Done:       done,
 		Target:     ru.target,
 		Accepted:   pr.Accepted,
 		Candidates: pr.Candidates,
 		Queries:    pr.Queries,
 	}
-	if ru.err != nil {
-		resp.Error = ru.err.Error()
+	if runErr != nil {
+		resp.Error = runErr.Error()
 	}
+	marginals := estimate.Marginals(schema, tuples)
 	for _, a := range ru.attrs {
-		m := ru.acc.Marginal(a)
 		resp.Marginals = append(resp.Marginals, statusMarginal{
 			Name:   schema.Attrs[a].Name,
 			Values: schema.Attrs[a].Values,
-			Counts: m.Counts,
+			Counts: marginals[a].Counts,
 		})
 	}
-	for _, tu := range ru.acc.Recent() {
+	for _, tu := range tuples[max(0, len(tuples)-recentCap):] {
 		row := make([]string, len(tu.Vals))
 		for a, v := range tu.Vals {
 			if a < schema.NumAttrs() && v >= 0 && v < schema.DomainSize(a) {
@@ -425,10 +432,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	pred := hiddendb.MustQuery(hiddendb.Predicate{Attr: predAttr, Value: predVal})
 
-	ru.mu.Lock()
-	samples := append([]hiddendb.Tuple(nil), ru.samples...)
-	ru.mu.Unlock()
-
+	samples := sampleTuples(ru.rs)
 	var est estimate.Estimate
 	switch op {
 	case "count":
@@ -443,6 +447,16 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, aggResponse{Value: est.Value, StdErr: est.StdErr, N: est.N})
+}
+
+// sampleTuples returns a snapshot of the run's accepted tuples.
+func sampleTuples(rs *hdsampler.ReplicaSet) []hiddendb.Tuple {
+	samples := rs.Samples()
+	out := make([]hiddendb.Tuple, len(samples))
+	for i := range samples {
+		out[i] = samples[i].Tuple
+	}
+	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

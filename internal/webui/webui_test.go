@@ -215,6 +215,10 @@ func TestKillSwitch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if st := getStatus(t, srv); st.Done {
+			// Stopping is how a run ends early, not a failure.
+			if st.Error != "" {
+				t.Fatalf("stopped run reports error %q", st.Error)
+			}
 			return
 		}
 		time.Sleep(20 * time.Millisecond)

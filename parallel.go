@@ -11,11 +11,22 @@ import (
 	"hdsampler/internal/hiddendb"
 )
 
+// Sample is one accepted sample with its provenance.
+type Sample struct {
+	Tuple Tuple
+	// Reach is the candidate's reach probability (before rejection).
+	Reach float64
+	// Queries is the number of interface queries the producing draw cost.
+	Queries int
+}
+
 // ReplicaSet is the replica machinery behind DrawParallel, exposed as a
-// reusable object for long-running callers (the jobsvc daemon) that need
-// live progress and partial results while a draw is underway: `workers`
-// independent sampler replicas over the same connector, each with a
-// derived seed, drawing concurrently through per-replica pipelines.
+// reusable object for long-running callers (the jobsvc daemon and the web
+// UI) that need live progress and partial results while a draw is
+// underway: `workers` independent sampler replicas over the same
+// connector, each with a derived seed, each running core.Draw on its own
+// goroutine into one shared tally. Cancelling Draw's context is the kill
+// switch.
 //
 // The set draws through the connector it is given and adds no layer of
 // its own: pass a Stack's Conn to share its history cache and execution
@@ -33,12 +44,12 @@ import (
 // the per-replica statistical guarantees.
 type ReplicaSet struct {
 	replicas []replica
+	tally    core.Tally
 
 	mu        sync.Mutex
 	started   bool
 	startTime time.Time
 	elapsed   time.Duration
-	pipelines []*Pipeline
 	samples   []Sample
 }
 
@@ -73,10 +84,11 @@ func (rs *ReplicaSet) Schema() *Schema { return rs.replicas[0].Schema() }
 // one configuration, so replica 0 speaks for all).
 func (rs *ReplicaSet) C() float64 { return rs.replicas[0].C() }
 
-// Draw collects n accepted samples across the replicas. It may be called
-// once per ReplicaSet. On error or cancellation it returns the samples
-// accepted so far along with the stats; Samples() keeps the full
-// provenance (reach, per-draw query cost) of the same tuples.
+// Draw collects n accepted samples across the replicas: n/w from each and
+// one more from the first n%w. It may be called once per ReplicaSet. On
+// error or cancellation it returns the samples accepted so far along with
+// the stats; Samples() keeps the full provenance (reach, per-draw query
+// cost) of the same tuples.
 func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	rs.mu.Lock()
 	if rs.started {
@@ -85,53 +97,36 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	}
 	rs.started = true
 	rs.startTime = time.Now()
-
-	// Split the target across replicas, n/w each and one more for the
-	// first n%w; replicas with a zero quota stay idle (a pipeline target
-	// of 0 would run unbounded).
-	quota := make([]int, len(rs.replicas))
-	for i := range quota {
-		quota[i] = n / len(quota)
-		if i < n%len(quota) {
-			quota[i]++
-		}
-	}
 	rs.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for i, r := range rs.replicas {
-		if quota[i] == 0 {
-			continue
-		}
-		// Start before publishing the pipeline, so concurrent Progress
-		// calls only ever observe started pipelines.
-		p := r.NewPipeline(quota[i])
-		ch := p.Start(ctx)
+	emit := func(c *core.Candidate) {
 		rs.mu.Lock()
-		rs.pipelines = append(rs.pipelines, p)
+		rs.samples = append(rs.samples, Sample{Tuple: c.Tuple, Reach: c.Reach, Queries: c.Queries})
 		rs.mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	var errOnce sync.Once
+	var firstErr error
+	w := len(rs.replicas)
+	for i, r := range rs.replicas {
+		quota := n / w
+		if i < n%w {
+			quota++
+		}
 		wg.Add(1)
-		go func(p *Pipeline, ch <-chan Sample) {
+		go func(r replica, quota int) {
 			defer wg.Done()
-			for s := range ch {
-				rs.mu.Lock()
-				rs.samples = append(rs.samples, s)
-				rs.mu.Unlock()
-			}
-			if err := p.Err(); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
+			// An error after cancellation is the cancellation's echo, not
+			// this replica's failure.
+			if err := core.Draw(ctx, r.gen, r.rej, quota, &rs.tally, emit); err != nil && ctx.Err() == nil {
+				errOnce.Do(func() {
 					firstErr = err
 					cancel()
-				}
-				errMu.Unlock()
+				})
 			}
-		}(p, ch)
+		}(r, quota)
 	}
 	wg.Wait()
 
@@ -143,13 +138,12 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	}
 	rs.mu.Unlock()
 
-	st := rs.Progress()
 	if firstErr == nil && len(tuples) < n {
-		// Pipelines stopped short without their own error: the caller's
-		// context was cancelled.
+		// The replicas stopped short without an error of their own: the
+		// caller's context was cancelled.
 		firstErr = ctx.Err()
 	}
-	return tuples, st, firstErr
+	return tuples, rs.Progress(), firstErr
 }
 
 // Progress returns a live statistics snapshot; safe to call from any
@@ -158,21 +152,13 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 // report, so they stay zero here.
 func (rs *ReplicaSet) Progress() Stats {
 	rs.mu.Lock()
-	pipelines := rs.pipelines
-	accepted := int64(len(rs.samples))
 	elapsed := rs.elapsed
 	if elapsed == 0 && !rs.startTime.IsZero() {
 		elapsed = time.Since(rs.startTime)
 	}
 	rs.mu.Unlock()
-
-	st := Stats{Accepted: accepted, Elapsed: elapsed}
-	for _, p := range pipelines {
-		pr := p.Progress()
-		st.Candidates += pr.Candidates
-		st.Rejected += pr.Rejected
-		st.Queries += pr.Queries
-	}
+	st := statsOf(rs.tally.Counts())
+	st.Elapsed = elapsed
 	return st
 }
 

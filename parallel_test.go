@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/history"
 	"hdsampler/internal/queryexec"
@@ -119,6 +120,53 @@ func TestReplicaSetLiveProgressAndSamples(t *testing.T) {
 	// A ReplicaSet is one-shot.
 	if _, _, err := rs.Draw(ctx, 1); err == nil {
 		t.Fatal("second Draw accepted")
+	}
+}
+
+// TestReplicaSetElapsedFreezesAtCompletion: once Draw returns, Progress
+// reports the run's duration instead of a clock that keeps ticking under
+// a status poller.
+func TestReplicaSetElapsedFreezesAtCompletion(t *testing.T) {
+	_, conn := localVehicles(t, 2000, 200, hiddendb.CountNone)
+	ctx := context.Background()
+	rs, err := NewReplicaSet(ctx, conn, Config{Seed: 41, Slider: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rs.Draw(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	first := rs.Progress()
+	if first.Elapsed <= 0 {
+		t.Fatalf("finished draw has elapsed %v", first.Elapsed)
+	}
+	time.Sleep(30 * time.Millisecond)
+	if second := rs.Progress(); second.Elapsed != first.Elapsed {
+		t.Fatalf("elapsed kept ticking after completion: %v then %v", first.Elapsed, second.Elapsed)
+	}
+}
+
+// TestDrawParallelBillsEveryQuery: every query a replica issues belongs
+// to a candidate the draw processed, so without a history cache the bill
+// equals the interface's own count plus the queries the execution layer
+// coalesced. A replica that drew ahead of its acceptor would issue
+// queries for candidates nobody bills.
+func TestDrawParallelBillsEveryQuery(t *testing.T) {
+	db, _ := localVehicles(t, 20000, 100, hiddendb.CountNone)
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		for seed := int64(1); seed <= 40; seed++ {
+			local := formclient.NewLocal(db)
+			cfg := Config{Seed: seed, Slider: 0.6, SliderSet: true, K: db.K(), ShuffleOrder: true}
+			_, stats, err := DrawParallel(ctx, local, cfg, 20, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if issued := local.Stats().Queries; issued+stats.QueriesCoalesced != stats.Queries {
+				t.Errorf("workers %d, seed %d: local served %d + coalesced %d, billed %d",
+					workers, seed, issued, stats.QueriesCoalesced, stats.Queries)
+			}
+		}
 	}
 }
 

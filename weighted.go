@@ -3,6 +3,7 @@ package hdsampler
 import (
 	"context"
 
+	"hdsampler/internal/core"
 	"hdsampler/internal/estimate"
 )
 
@@ -18,25 +19,12 @@ type WeightedSet = estimate.WeightedSet
 // goal is an aggregate rather than a uniform sample.
 func (s *Sampler) DrawWeighted(ctx context.Context, n int) (*WeightedSet, Stats, error) {
 	ws := &WeightedSet{}
-	startQueries := s.gen.GenStats().Queries
 	m := s.stack.mark()
-	var st Stats
-	for len(ws.Samples) < n {
-		if err := ctx.Err(); err != nil {
-			return ws, st, err
-		}
-		cand, err := s.gen.Candidate(ctx)
-		if err != nil {
-			st.Queries = s.gen.GenStats().Queries - startQueries
-			return ws, st, err
-		}
-		st.Candidates++
-		st.Accepted++
-		ws.Add(cand.Tuple, cand.Reach, cand.Restarts)
-	}
-	st.Queries = s.gen.GenStats().Queries - startQueries
+	var t core.Tally
+	err := core.Draw(ctx, s.gen, nil, n, &t, func(c *core.Candidate) { ws.Add(c.Tuple, c.Reach, c.Restarts) })
+	st := statsOf(t.Counts())
 	// Per-call deltas, like Draw: consecutive calls must not double-report
 	// the stack's cumulative savings.
 	s.stack.fill(&st, m)
-	return ws, st, nil
+	return ws, st, err
 }

@@ -40,6 +40,18 @@ import (
 	"hdsampler/internal/telemetry"
 )
 
+// cacheEntryBytes converts -cache-entries into a byte budget: N entries
+// cap each shared host history cache at N × cacheEntryBytes charged bytes,
+// so the flag keeps meaning the memory an N-entry cache held when caches
+// were capped by entry count. It is that cache's mean resident charge per
+// entry, measured by replaying the svc-html benchmark's jobs in process
+// (200k vehicles, k 100, no counts, slider 0.6; 8 warm-up jobs, then 100
+// jobs of n = 20 through one cache capped at 1000 entries with CLOCK
+// eviction, the charge read after each job): 1718 to 1935 bytes per entry
+// over seeds 1–10. The least, 1718, rounded down to a multiple of 256
+// gives 1536.
+const cacheEntryBytes = 1536
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8099", "listen address")
@@ -48,7 +60,7 @@ func main() {
 		hostRate     = flag.Float64("host-rate", 0, "per-host politeness budget in wire requests/sec (0 = unlimited)")
 		hostBurst    = flag.Int("host-burst", 10, "politeness token bucket capacity")
 		hostInFlight = flag.Int("host-inflight", 0, "per-host AIMD concurrency ceiling for wire requests (0 = unlimited)")
-		cacheCap     = flag.Int("cache-entries", 0, "max entries per shared host history cache (0 = unlimited)")
+		cacheCap     = flag.Int64("cache-entries", 0, fmt.Sprintf("memory budget per shared host history cache, in units of %d charged bytes: the least mean per-entry charge of a 1000-entry cache replaying the svc-html jobs over seeds 1-10, rounded down to 256 B, so N budgets what N entries held; row-bearing answers are evicted first (0 = unlimited)", cacheEntryBytes))
 		histDir      = flag.String("history-dir", "", "checkpoint directory for shared history caches: dumped on shutdown, warm-started on first use (empty = off)")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory: admissions fsynced before ack, progress checkpointed, interrupted jobs requeued on restart (empty = no durability)")
 		ckptEvery    = flag.Duration("checkpoint-every", 2*time.Second, "mid-run progress checkpoint interval for journaled jobs (negative = admission/terminal records only)")
@@ -84,7 +96,7 @@ func main() {
 		HostRatePerSec:      *hostRate,
 		HostBurst:           *hostBurst,
 		HostMaxInFlight:     *hostInFlight,
-		CacheMaxEntries:     *cacheCap,
+		CacheMaxBytes:       *cacheCap * cacheEntryBytes,
 		HistoryDir:          *histDir,
 		JournalDir:          *journalDir,
 		CheckpointEvery:     *ckptEvery,

@@ -100,14 +100,16 @@ func TestConcurrentOverlappingQueries(t *testing.T) {
 
 // TestConcurrentStoreAndEvict hammers a small-capacity cache from many
 // goroutines so stores, CLOCK evictions and trie updates interleave; the
-// invariants are: no panic/race, the cap holds, and answers stay correct.
+// invariants are: no panic/race, the byte cap holds once the stores are
+// done, the charge accounting stays exact, and answers stay correct.
 func TestConcurrentStoreAndEvict(t *testing.T) {
 	ds := datagen.IIDBoolean(8, 120, 0.5, 7)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := New(formclient.NewLocal(db), Options{MaxEntries: 32, Shards: 4})
+	const max = 16 << 10
+	cache := New(formclient.NewLocal(db), Options{MaxBytes: max, Shards: 4})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -143,16 +145,11 @@ func TestConcurrentStoreAndEvict(t *testing.T) {
 	}
 	wg.Wait()
 
-	stats := cache.ShardStats()
-	total, protected := 0, 0
-	for _, s := range stats {
-		total += s.Entries
-		protected += s.Protected
+	if b := cache.Bytes(); b > max {
+		t.Fatalf("%d charged bytes resident, cap %d", b, max)
 	}
-	if evictable := total - protected; evictable > 32 {
-		t.Fatalf("evictable population %d exceeds cap 32", evictable)
-	}
+	checkCharges(t, cache)
 	if cache.CacheStats().Evictions == 0 {
-		t.Fatal("workload of ~hundreds of distinct queries never evicted under cap 32")
+		t.Fatal("workload of ~hundreds of distinct queries never evicted under a 16 KiB cap")
 	}
 }

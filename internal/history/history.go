@@ -44,16 +44,26 @@
 // the queries whose overflow rows it reads with formclient.WantRows — the
 // drill-down's last level, where the query cannot be narrowed further
 // (for an attribute-scoped walk, the last scoped attribute). Such an
-// answer is stored with its rows and pinned: it is the only window onto
-// the cell's visible top-k. Every other overflow answer is stored as its
-// flag and count alone, since storing k rows per overflow would dominate
-// memory and nobody reads them. A lookup that wants rows and finds a
-// row-less overflow entry counts as a miss, and the fresh answer replaces
-// the entry.
+// answer is stored with its rows: it is the only window onto the cell's
+// visible top-k. Every other overflow answer is stored as its flag and
+// count alone, since storing k rows per overflow would dominate memory
+// and nobody reads them. A lookup that wants rows and finds a row-less
+// overflow entry counts as a miss, and the fresh answer replaces the
+// entry.
 //
-// When MaxEntries caps the cache, a per-shard CLOCK (second-chance)
-// policy evicts approximately-least-recently-used entries. Pinned entries
-// are never evicted.
+// When MaxBytes caps the cache, every entry is charged its resident bytes
+// once, when it is stored (see entry.charge), and CLOCK (second-chance)
+// eviction keeps the charged total within the cap. Each shard keeps two
+// rings, and victims come from the row-bearing ring — complete answers
+// with rows and overflow answers holding wanted rows — while any such
+// entry is resident; row-less entries (overflow flags and empty answers)
+// go only after those. A row-less entry costs a few hundred bytes and
+// steers every walk that passes it, while a row-bearing one costs up to k
+// rows and serves the few walks that end in its cell, so spending the
+// budget on row-less entries first saves the most wire calls per byte
+// (the cost-per-byte argument of GreedyDual-Size, Cao & Irani 1997). An
+// evicted overflow answer that held wanted rows is fetched again by the
+// next lookup that wants them.
 package history
 
 import (
@@ -61,6 +71,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
@@ -73,11 +84,11 @@ type Options struct {
 	// the interface reports exact counts; HDSampler's default against
 	// Google Base was to distrust its approximate estimates.
 	TrustCounts bool
-	// MaxEntries caps the number of evictable cached queries; 0 means
-	// unlimited. When the cap is hit, CLOCK eviction reclaims the
-	// least-recently-touched entries one at a time. Pinned overflow
-	// entries, the ones holding wanted rows, do not count against the cap.
-	MaxEntries int
+	// MaxBytes caps the charged bytes of the resident entries; 0 means
+	// unlimited. When a store pushes the total past the cap, CLOCK
+	// eviction reclaims least-recently-touched entries, row-bearing ones
+	// first, until it fits again.
+	MaxBytes int64
 	// MaxInferDepth bounds the predicate count up to which ancestor
 	// inference is attempted. The subset trie makes deep inference cheap,
 	// so the default is 24 (it exists to bound pathological queries, not
@@ -100,7 +111,7 @@ type Stats struct {
 	// ExactHits counts rule-1 answers, Inferred counts rules 2-4.
 	ExactHits int64
 	Inferred  int64
-	// Evictions counts entries reclaimed by the MaxEntries CLOCK policy.
+	// Evictions counts entries reclaimed to keep the cache within MaxBytes.
 	Evictions int64
 }
 
@@ -109,10 +120,9 @@ func (s Stats) Saved() int64 { return s.ExactHits + s.Inferred }
 
 // ShardStat describes one shard's occupancy, for balance monitoring.
 type ShardStat struct {
-	// Entries is the shard's total entry count; Protected the subset
-	// pinned against eviction (overflow answers holding wanted rows).
-	Entries   int
-	Protected int
+	// Entries is the shard's entry count, Bytes their charged bytes.
+	Entries int
+	Bytes   int64
 }
 
 // Cache is a formclient.Conn decorator adding memoization and inference.
@@ -133,28 +143,74 @@ type Cache struct {
 	exactHits atomic.Int64
 	inferred  atomic.Int64
 	evictions atomic.Int64
-	evictable atomic.Int64 // entries currently eligible for eviction
+	bytes     atomic.Int64 // charged bytes of every resident entry
 	evictHand atomic.Uint64
 }
 
 // entry stores one observed or derived answer. An overflow entry keeps
-// its tuples only when they were wanted, and is then pinned. All fields except the CLOCK reference bit, the
-// ring slot, and the collision-chain link are immutable after the entry
-// is published (the mutable three change only under the shard lock),
-// which is what lets readers use an entry after dropping it.
+// its tuples only when they were wanted. All fields except the CLOCK
+// reference bit, the ring slot, and the collision-chain link are immutable
+// after the entry is published (the mutable three change only under the
+// shard lock), which is what lets readers use an entry after dropping it.
 type entry struct {
-	q        hiddendb.Query // canonical query; carries cached Key and Hash
-	hash     uint64         // q.Hash(), denormalized for chain bookkeeping
-	next     *entry         // signature-collision chain within a shard slot
-	overflow bool
+	q        hiddendb.Query   // canonical query; carries cached Key and Hash
+	hash     uint64           // q.Hash(), denormalized for chain bookkeeping
+	next     *entry           // signature-collision chain within a shard slot
 	count    int              // interface-reported count (CountAbsent if none)
 	tuples   []hiddendb.Tuple // nil for row-less overflow entries; shared, read-only
+	overflow bool
+	indexed  bool        // complete answer: present in the ancestor trie
+	ref      atomic.Bool // CLOCK reference bit, set on every touch
+	slot     int         // position in its eviction ring; -1 when absent
+}
 
-	pinned  bool // overflow with its rows: never evicted
-	indexed bool // complete answer: present in the ancestor trie
+// The resident-byte charge of an entry. Sizes come from the types
+// themselves; the two bookkeeping figures are amortized heap measurements
+// of walks like svc-html's (200k vehicles, k 100), and TestChargeMatchesHeap
+// checks the whole charge against heap growth:
+//   - slotBytes: the entry's shard map slot and its ring slot (~50 bytes
+//     per entry at the load the map runs at);
+//   - trieBytes: a complete answer's share of the ancestor trie, its
+//     terminal node plus the nodes and child maps on its path (~390–410
+//     bytes per complete answer, dropping the trie to measure).
+const (
+	entryBytes = int64(unsafe.Sizeof(entry{}))
+	predBytes  = int64(unsafe.Sizeof(hiddendb.Predicate{}))
+	tupleBytes = int64(unsafe.Sizeof(hiddendb.Tuple{}))
+	valBytes   = int64(unsafe.Sizeof(int(0)))
+	numBytes   = int64(unsafe.Sizeof(float64(0)))
+	slotBytes  = 48
+	trieBytes  = 384
+)
 
-	ref  atomic.Bool // CLOCK reference bit, set on every touch
-	slot int         // position in the shard's eviction ring; -1 when absent
+// charge is the entry's resident bytes: the entry, its key and predicates,
+// its slots, and its rows. Every row of an answer has the schema's width,
+// so the first row prices them all and the charge costs O(1). Rows an
+// inferred answer shares with its ancestor are charged to both.
+func (e *entry) charge() int64 {
+	b := entryBytes + int64(len(e.q.Key())) + int64(e.q.Len())*predBytes + slotBytes
+	if e.indexed {
+		b += trieBytes
+	}
+	if len(e.tuples) > 0 {
+		row := tupleBytes + int64(len(e.tuples[0].Vals))*valBytes + int64(len(e.tuples[0].Nums))*numBytes
+		b += int64(len(e.tuples)) * row
+	}
+	return b
+}
+
+// Eviction rings: an entry's ring is fixed by whether it holds rows.
+const (
+	ringRows  = iota // complete answers with rows, overflow answers with wanted rows
+	ringFlags        // overflow flags and empty answers
+)
+
+// ring returns the eviction ring e belongs to.
+func (e *entry) ring() int {
+	if len(e.tuples) > 0 {
+		return ringRows
+	}
+	return ringFlags
 }
 
 // keyScratch pools the buffers sibling-count probes render scratch
@@ -226,6 +282,9 @@ func (c *Cache) CacheStats() Stats {
 	}
 }
 
+// Bytes returns the charged bytes of the resident entries.
+func (c *Cache) Bytes() int64 { return c.bytes.Load() }
+
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	total := 0
@@ -244,7 +303,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		out[i] = ShardStat{Entries: sh.size(), Protected: sh.protected}
+		out[i] = ShardStat{Entries: sh.size(), Bytes: sh.bytes}
 		sh.mu.RUnlock()
 	}
 	return out
@@ -331,10 +390,9 @@ func (e *entry) result() *hiddendb.Result {
 }
 
 // store publishes an answer: the entry joins its shard (and, when it is a
-// complete answer, the ancestor trie), then the MaxEntries cap is
-// enforced. keepRows controls whether the visible rows are retained
-// (always for complete answers, and for overflow answers whose rows were
-// wanted); an overflow entry holding rows is pinned against eviction.
+// complete answer, the ancestor trie), then the MaxBytes cap is enforced.
+// keepRows controls whether the visible rows are retained (always for
+// complete answers, and for overflow answers whose rows were wanted).
 // Retained rows are shared with the result, not cloned: entries and
 // Results are both immutable by convention.
 func (c *Cache) store(q hiddendb.Query, res *hiddendb.Result, keepRows bool) {
@@ -349,7 +407,7 @@ func (c *Cache) store(q hiddendb.Query, res *hiddendb.Result, keepRows bool) {
 	if keepRows {
 		e.tuples = res.Tuples
 	}
-	e.pinned = e.overflow && len(e.tuples) > 0
+	delta := e.charge()
 
 	// Map and trie must change together under the shard lock: with the
 	// trie updated outside it, two same-key stores can interleave so the
@@ -360,21 +418,10 @@ func (c *Cache) store(q hiddendb.Query, res *hiddendb.Result, keepRows bool) {
 	sh.mu.Lock()
 	old := sh.put(e)
 	if old != nil {
-		if old.slot >= 0 {
-			sh.unlink(old)
-			c.evictable.Add(-1)
-		}
-		if old.pinned {
-			sh.protected--
-		}
+		sh.unlink(old)
+		delta -= old.charge()
 	}
-	if e.pinned {
-		sh.protected++
-	} else {
-		e.slot = len(sh.ring)
-		sh.ring = append(sh.ring, e)
-		c.evictable.Add(1)
-	}
+	sh.link(e)
 	if e.indexed {
 		c.idx.insert(e.q, e)
 	}
@@ -385,33 +432,46 @@ func (c *Cache) store(q hiddendb.Query, res *hiddendb.Result, keepRows bool) {
 		c.idx.remove(old.q, old)
 	}
 	sh.mu.Unlock()
+	c.bytes.Add(delta)
 
 	c.enforceCap()
 }
 
-// enforceCap evicts CLOCK victims (round-robin across shards) until the
-// evictable population fits MaxEntries again. Pinned entries are skipped
-// by construction — they are never in an eviction ring.
+// enforceCap evicts CLOCK victims until the charged bytes fit MaxBytes
+// again. Each victim comes from the row-bearing rings while any shard has
+// a row-bearing entry, and from the row-less rings after that; the
+// starting shard rotates, so the shards take turns.
 func (c *Cache) enforceCap() {
-	max := int64(c.opts.MaxEntries)
+	max := c.opts.MaxBytes
 	if max <= 0 {
 		return
 	}
-	for c.evictable.Load() > max {
-		start := int(c.evictHand.Add(1))
-		var victim *entry
-		for i := 0; i < len(c.shards) && victim == nil; i++ {
-			victim = c.shards[(start+i)&int(c.mask)].evictOne()
+	for c.bytes.Load() > max {
+		victim := c.evictFrom(ringRows)
+		if victim == nil {
+			victim = c.evictFrom(ringFlags)
 		}
 		if victim == nil {
-			return // nothing evictable anywhere
+			return // nothing resident
 		}
-		c.evictable.Add(-1)
+		c.bytes.Add(-victim.charge())
 		c.evictions.Add(1)
 		if victim.indexed {
 			c.idx.remove(victim.q, victim)
 		}
 	}
+}
+
+// evictFrom evicts one entry of the given ring from the first shard,
+// counting from the rotating hand, that has one.
+func (c *Cache) evictFrom(ring int) *entry {
+	start := int(c.evictHand.Add(1))
+	for i := range c.shards {
+		if v := c.shards[(start+i)&int(c.mask)].evictOne(ring); v != nil {
+			return v
+		}
+	}
+	return nil
 }
 
 // markLookup closes out a traced Execute's cache stage: the lookup

@@ -227,24 +227,170 @@ func TestSiblingCountInferenceDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestMaxEntriesEviction(t *testing.T) {
+// TestMaxBytesEviction pins the byte budget: after every store the
+// charged bytes of the resident entries stay within MaxBytes, and the
+// cache's running total matches its shards' and its entries' charges.
+func TestMaxBytesEviction(t *testing.T) {
+	const max = 4 << 10
 	ds := datagen.IIDBoolean(8, 200, 0.5, 5)
-	_, _, cache := newCachedConn(t, ds, 5, hiddendb.CountNone, Options{MaxEntries: 16})
+	_, _, cache := newCachedConn(t, ds, 5, hiddendb.CountNone, Options{MaxBytes: max})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		q := hiddendb.EmptyQuery()
-		for a := 0; a < 8; a++ {
-			if rng.Intn(2) == 0 {
-				q = q.With(a, rng.Intn(2))
-			}
-		}
-		if _, err := cache.Execute(ctx, q); err != nil {
+		if _, err := cache.Execute(ctx, randomQuery(rng)); err != nil {
 			t.Fatal(err)
 		}
+		if b := cache.Bytes(); b > max {
+			t.Fatalf("store %d: %d charged bytes resident, cap %d", i, b, max)
+		}
+		checkCharges(t, cache)
 	}
-	if cache.Len() > 16 {
-		t.Fatalf("cache grew to %d entries despite cap 16", cache.Len())
+	if cache.CacheStats().Evictions == 0 {
+		t.Fatal("100 random queries never filled a 4 KiB cache")
+	}
+}
+
+// randomQuery constrains each of 8 boolean attributes with probability
+// 1/2, to a random value.
+func randomQuery(rng *rand.Rand) hiddendb.Query {
+	q := hiddendb.EmptyQuery()
+	for a := 0; a < 8; a++ {
+		if rng.Intn(2) == 0 {
+			q = q.With(a, rng.Intn(2))
+		}
+	}
+	return q
+}
+
+// checkCharges asserts that Bytes, the shards' Bytes and the charges of
+// the resident entries agree.
+func checkCharges(t *testing.T, c *Cache) {
+	t.Helper()
+	var shards, entries int64
+	for _, ss := range c.ShardStats() {
+		shards += ss.Bytes
+	}
+	for i := range c.shards {
+		for _, r := range c.shards[i].rings {
+			for _, e := range r.es {
+				entries += e.charge()
+			}
+		}
+	}
+	if b := c.Bytes(); b != shards || b != entries {
+		t.Fatalf("Bytes() = %d, shards sum to %d, resident entries charge %d", b, shards, entries)
+	}
+}
+
+// cellQuery is the fully specified query over 8 boolean attributes whose
+// values are the bits of i; every such key has the same length.
+func cellQuery(i int) hiddendb.Query {
+	q := hiddendb.EmptyQuery()
+	for a := 0; a < 8; a++ {
+		q = q.With(a, i>>a&1)
+	}
+	return q
+}
+
+// fabricate returns an answer with n rows of the cell query's values.
+func fabricate(q hiddendb.Query, overflow bool, n int) *hiddendb.Result {
+	res := &hiddendb.Result{Overflow: overflow, Count: hiddendb.CountAbsent}
+	for i := 0; i < n; i++ {
+		vals := make([]int, 8)
+		for a := range vals {
+			vals[a], _ = q.Value(a)
+		}
+		res.Tuples = append(res.Tuples, hiddendb.Tuple{ID: i, Vals: vals})
+	}
+	return res
+}
+
+// resident reports whether q's entry is in the cache.
+func resident(c *Cache, q hiddendb.Query) bool {
+	sh := c.shardFor(q.Hash())
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.get(q.Hash(), q.Key()) != nil
+}
+
+// TestEvictionTakesRowBearingFirst pins the victim order. No row-less
+// entry (an overflow flag or an empty answer) is evicted while a
+// row-bearing one is resident; within each ring, CLOCK's second chance
+// holds: a touched entry outlives an untouched one.
+func TestEvictionTakesRowBearingFirst(t *testing.T) {
+	const rows = 4
+	flagBytes := (&entry{q: cellQuery(0), overflow: true}).charge()
+	rowBytes := (&entry{q: cellQuery(0), indexed: true, tuples: fabricate(cellQuery(0), false, rows).Tuples}).charge()
+	ds := datagen.IIDBoolean(8, 200, 0.5, 5)
+	ctx := context.Background()
+
+	// Four flags and three row-bearing answers fill the budget; flags
+	// stored after that evict every row-bearing entry before any flag.
+	_, _, cache := newCachedConn(t, ds, 5, hiddendb.CountNone, Options{MaxBytes: 4*flagBytes + 3*rowBytes, Shards: 1})
+	var flags, full []hiddendb.Query
+	next := 0
+	store := func(withRows bool) {
+		q := cellQuery(next)
+		next++
+		if withRows {
+			cache.store(q, fabricate(q, false, rows), true)
+			full = append(full, q)
+		} else {
+			cache.store(q, fabricate(q, true, 0), false)
+			flags = append(flags, q)
+		}
+		flagsLeft, fullLeft := 0, 0
+		for _, q := range flags {
+			if resident(cache, q) {
+				flagsLeft++
+			}
+		}
+		for _, q := range full {
+			if resident(cache, q) {
+				fullLeft++
+			}
+		}
+		if flagsLeft < len(flags) && fullLeft > 0 {
+			t.Fatalf("a flag was evicted while %d row-bearing entries stayed resident", fullLeft)
+		}
+		checkCharges(t, cache)
+	}
+	for i := 0; i < 4; i++ {
+		store(false)
+	}
+	for i := 0; i < 4; i++ {
+		store(true)
+	}
+	if ev := cache.CacheStats().Evictions; ev != 1 {
+		t.Fatalf("%d evictions after one store past the budget, want 1", ev)
+	}
+	for i := 0; i < 20; i++ {
+		store(false)
+	}
+	if ev := cache.CacheStats().Evictions; ev < 6 {
+		t.Fatalf("%d evictions, want the flags to have turned over too", ev)
+	}
+
+	// Second chance within each ring: a touched entry outlives an
+	// untouched one stored after it.
+	for _, withRows := range []bool{true, false} {
+		b := flagBytes
+		if withRows {
+			b = rowBytes
+		}
+		_, _, cache = newCachedConn(t, ds, 5, hiddendb.CountNone, Options{MaxBytes: 2 * b, Shards: 1})
+		flags, full, next = nil, nil, 0
+		store(withRows)
+		store(withRows)
+		q0, q1 := cellQuery(0), cellQuery(1)
+		if _, err := cache.Execute(ctx, q0); err != nil || cache.CacheStats().ExactHits != 1 {
+			t.Fatalf("touching the first entry: %v, %+v", err, cache.CacheStats())
+		}
+		store(withRows)
+		if !resident(cache, q0) || resident(cache, q1) {
+			t.Fatalf("rows=%v: touched entry resident %v, untouched %v; want the untouched one evicted",
+				withRows, resident(cache, q0), resident(cache, q1))
+		}
 	}
 }
 
@@ -368,8 +514,8 @@ func duplicateCell(t *testing.T, opts Options) (*formclient.Local, *Cache, hidde
 	return local, New(local, opts), hot
 }
 
-// churn runs the three cells other than (1,1) through the cache, far past
-// a two-entry cap, so every evictable entry turns over.
+// churn runs the three cells other than (1,1), each an empty answer,
+// through the cache.
 func churn(t *testing.T, cache *Cache) {
 	t.Helper()
 	for a := 0; a < 2; a++ {
@@ -385,35 +531,49 @@ func churn(t *testing.T, cache *Cache) {
 	}
 }
 
-// An overflow entry holding wanted rows is the only window onto its
-// cell's visible top-k; eviction must never reclaim it.
-func TestEvictionNeverDropsPinnedOverflow(t *testing.T) {
-	local, cache, hot := duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
-	ctx := formclient.WantRows(context.Background())
-	r, err := cache.Execute(ctx, hot)
-	if err != nil || !r.Overflow || len(r.Tuples) == 0 {
-		t.Fatalf("setup: want pinned full-overflow answer with rows, got %+v %v", r, err)
+// TestEvictedWantedOverflowIsFetchedAgain: an overflow entry holding
+// wanted rows is charged and evicted like any other row-bearing entry,
+// and the next lookup that wants its rows fetches them again.
+func TestEvictedWantedOverflowIsFetchedAgain(t *testing.T) {
+	// Measure the hot entry and the churn uncapped, then cap the cache one
+	// byte below their total: the hot entry is the only row-bearing one,
+	// so it is the victim.
+	_, probe, hot := duplicateCell(t, Options{Shards: 1})
+	want := formclient.WantRows(context.Background())
+	if _, err := probe.Execute(want, hot); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, probe)
+
+	local, cache, hot := duplicateCell(t, Options{MaxBytes: probe.Bytes() - 1, Shards: 1})
+	r, err := cache.Execute(want, hot)
+	if err != nil || !r.Overflow || len(r.Tuples) != 3 {
+		t.Fatalf("setup: want a full-overflow answer with 3 rows, got %+v %v", r, err)
 	}
 	churn(t, cache)
+	if resident(cache, hot) || cache.CacheStats().Evictions != 1 {
+		t.Fatalf("hot entry resident %v after %d evictions; want it the one victim",
+			resident(cache, hot), cache.CacheStats().Evictions)
+	}
 	before := local.Stats().Queries
-	r2, err := cache.Execute(ctx, hot)
+	r2, err := cache.Execute(want, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if local.Stats().Queries != before {
-		t.Fatal("pinned fully-specified overflow entry was evicted")
+	if local.Stats().Queries != before+1 {
+		t.Fatalf("refetch issued %d wire queries, want 1", local.Stats().Queries-before)
 	}
 	if !r2.Overflow || len(r2.Tuples) != len(r.Tuples) {
-		t.Fatalf("pinned replay lost rows: %+v", r2)
+		t.Fatalf("refetched answer lost rows: %+v", r2)
 	}
 }
 
 // TestUnwantedOverflowRowsAreNotKept is the other side of the rows-wanted
 // rule: an overflow answer whose rows nobody asked for is cached as its
-// flag alone, stays evictable, and a later lookup that does want the
+// flag alone, in the row-less ring, and a later lookup that does want the
 // rows misses and replaces the entry with one that keeps them.
 func TestUnwantedOverflowRowsAreNotKept(t *testing.T) {
-	local, cache, hot := duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
+	local, cache, hot := duplicateCell(t, Options{Shards: 1})
 	ctx := context.Background()
 	if _, err := cache.Execute(ctx, hot); err != nil {
 		t.Fatal(err)
@@ -426,8 +586,10 @@ func TestUnwantedOverflowRowsAreNotKept(t *testing.T) {
 		t.Fatalf("replay of an unwanted overflow: %+v (hits %d), want the flag alone from the cache",
 			r, cache.CacheStats().ExactHits)
 	}
-	if p := cache.ShardStats()[0].Protected; p != 0 {
-		t.Fatalf("%d pinned entries, want none", p)
+	rings := &cache.shards[0].rings
+	if len(rings[ringRows].es) != 0 || len(rings[ringFlags].es) != 1 {
+		t.Fatalf("rings hold %d row-bearing and %d row-less entries, want 0 and 1",
+			len(rings[ringRows].es), len(rings[ringFlags].es))
 	}
 
 	// A lookup wanting the rows misses and keeps them.
@@ -440,13 +602,15 @@ func TestUnwantedOverflowRowsAreNotKept(t *testing.T) {
 		t.Fatalf("wanted lookup: %d wire queries and %d rows, want 1 and 3",
 			local.Stats().Queries-before, len(r.Tuples))
 	}
-	if p := cache.ShardStats()[0].Protected; p != 1 {
-		t.Fatalf("%d pinned entries after the wanted answer, want 1", p)
+	if len(rings[ringRows].es) != 1 || len(rings[ringFlags].es) != 0 {
+		t.Fatalf("after the wanted answer the rings hold %d row-bearing and %d row-less entries, want 1 and 0",
+			len(rings[ringRows].es), len(rings[ringFlags].es))
 	}
 
 	// Without the wanted answer, the row-less entry is evicted like any
-	// other.
-	local, cache, hot = duplicateCell(t, Options{MaxEntries: 2, Shards: 1})
+	// other: the budget holds it and one churned cell.
+	budget := (&entry{q: hot, overflow: true}).charge() + (&entry{q: hot, indexed: true}).charge()
+	local, cache, hot = duplicateCell(t, Options{MaxBytes: budget, Shards: 1})
 	if _, err := cache.Execute(ctx, hot); err != nil {
 		t.Fatal(err)
 	}
@@ -532,6 +696,34 @@ func TestDumpRestoreWarmStart(t *testing.T) {
 	if got := local2.Stats().Queries; got != 0 {
 		t.Fatalf("warm cache issued %d queries, want 0", got)
 	}
+}
+
+// TestRestoreStaysWithinBudget: restoring a snapshot larger than the
+// cap adopts every entry and evicts down to the budget as it goes.
+func TestRestoreStaysWithinBudget(t *testing.T) {
+	ds := datagen.IIDBoolean(8, 200, 0.5, 5)
+	db, _, full := newCachedConn(t, ds, 5, hiddendb.CountNone, Options{})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		if _, err := full.Execute(ctx, randomQuery(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := full.Dump()
+	max := full.Bytes() / 3
+	capped := New(formclient.NewLocal(db), Options{MaxBytes: max})
+	n, err := capped.Restore(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(snap.Entries) {
+		t.Fatalf("adopted %d of %d entries", n, len(snap.Entries))
+	}
+	if b := capped.Bytes(); b > max || capped.CacheStats().Evictions == 0 {
+		t.Fatalf("restored %d charged bytes after %d evictions, cap %d", b, capped.CacheStats().Evictions, max)
+	}
+	checkCharges(t, capped)
 }
 
 // TestRestoreSkipsRowsThatDoNotFit pins that Restore skips entries whose

@@ -2,20 +2,25 @@ package history
 
 import "sync"
 
-// shard is one hash partition of the entry map plus its CLOCK eviction
-// ring. Entries are keyed by their query's 64-bit signature hash; the
-// (vanishingly rare) queries whose signatures collide share a slot as a
-// short linked chain, and every probe verifies the full canonical key, so
-// a collision costs a pointer hop, never a wrong answer. The ring holds
-// only evictable entries; pinned entries live in the map alone and can
-// never become victims.
+// shard is one hash partition of the entry map plus its two CLOCK
+// eviction rings. Entries are keyed by their query's 64-bit signature
+// hash; the (vanishingly rare) queries whose signatures collide share a
+// slot as a short linked chain, and every probe verifies the full
+// canonical key, so a collision costs a pointer hop, never a wrong answer.
+// Every resident entry sits in exactly one ring, the one entry.ring names.
 type shard struct {
-	mu        sync.RWMutex
-	entries   map[uint64]*entry
-	n         int      // resident entries, chains included (occupancy in O(1))
-	ring      []*entry // CLOCK ring over evictable entries
-	hand      int      // next ring position the clock hand inspects
-	protected int      // pinned entries resident in this shard
+	mu      sync.RWMutex
+	entries map[uint64]*entry
+	n       int   // resident entries, chains included (occupancy in O(1))
+	bytes   int64 // charged bytes of the resident entries
+	rings   [2]clockRing
+}
+
+// clockRing is one CLOCK ring: its entries, and the position the clock
+// hand inspects next.
+type clockRing struct {
+	es   []*entry
+	hand int
 }
 
 // get returns the entry with the given signature, walking the collision
@@ -98,26 +103,37 @@ func (sh *shard) detach(e *entry) {
 // must not scan chains under the lock writers need.
 func (sh *shard) size() int { return sh.n }
 
-// unlink removes an entry from the eviction ring (swap-with-last); the
-// caller holds sh.mu.
-func (sh *shard) unlink(e *entry) {
-	last := len(sh.ring) - 1
-	moved := sh.ring[last]
-	sh.ring[e.slot] = moved
-	moved.slot = e.slot
-	sh.ring[last] = nil
-	sh.ring = sh.ring[:last]
-	e.slot = -1
+// link adds a resident entry to its eviction ring and its charge to the
+// shard's bytes; the caller holds sh.mu.
+func (sh *shard) link(e *entry) {
+	r := &sh.rings[e.ring()]
+	e.slot = len(r.es)
+	r.es = append(r.es, e)
+	sh.bytes += e.charge()
 }
 
-// evictOne runs the CLOCK hand over the ring: recently-touched entries
+// unlink removes an entry from its eviction ring (swap-with-last) and its
+// charge from the shard's bytes; the caller holds sh.mu.
+func (sh *shard) unlink(e *entry) {
+	r := &sh.rings[e.ring()]
+	last := len(r.es) - 1
+	moved := r.es[last]
+	r.es[e.slot] = moved
+	moved.slot = e.slot
+	r.es[last] = nil
+	r.es = r.es[:last]
+	e.slot = -1
+	sh.bytes -= e.charge()
+}
+
+// evictOne runs the CLOCK hand over one ring: recently-touched entries
 // get their reference bit cleared and a second chance; the first entry
-// found with a clear bit is evicted. Returns nil when the shard has no
-// evictable entries.
-func (sh *shard) evictOne() *entry {
+// found with a clear bit is evicted. Returns nil when the ring is empty.
+func (sh *shard) evictOne(ring int) *entry {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n := len(sh.ring)
+	r := &sh.rings[ring]
+	n := len(r.es)
 	if n == 0 {
 		return nil
 	}
@@ -125,27 +141,27 @@ func (sh *shard) evictOne() *entry {
 	// every bit the hand passes. Concurrent touches can keep re-setting
 	// bits, so fall back to evicting at the hand rather than spinning.
 	for i := 0; i < 2*n; i++ {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
+		if r.hand >= len(r.es) {
+			r.hand = 0
 		}
-		e := sh.ring[sh.hand]
+		e := r.es[r.hand]
 		if e.ref.CompareAndSwap(true, false) {
-			sh.hand++
+			r.hand++
 			continue
 		}
 		sh.remove(e)
 		return e
 	}
-	if sh.hand >= len(sh.ring) {
-		sh.hand = 0
+	if r.hand >= len(r.es) {
+		r.hand = 0
 	}
-	e := sh.ring[sh.hand]
+	e := r.es[r.hand]
 	sh.remove(e)
 	return e
 }
 
-// remove deletes an evictable entry from both the ring and the map; the
-// caller holds sh.mu.
+// remove deletes an entry from both its ring and the map; the caller
+// holds sh.mu.
 func (sh *shard) remove(e *entry) {
 	sh.unlink(e)
 	sh.detach(e)

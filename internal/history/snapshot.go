@@ -51,7 +51,7 @@ func (c *Cache) Dump() *Snapshot {
 // entries were adopted. Entries that no longer fit the connector's current
 // schema are skipped (the target may have changed): a key that does not
 // parse, or a row of the wrong arity, with an out-of-domain value, or not
-// matching its key. Hit/eviction counters are untouched, and MaxEntries
+// matching its key. Hit/eviction counters are untouched, and MaxBytes
 // still applies.
 //
 // Restore takes ownership of the snapshot's tuple slices: adopted entries

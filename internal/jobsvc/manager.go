@@ -48,9 +48,9 @@ type Config struct {
 	// and multiplicatively cut on 429 pushback. 0 disables concurrency
 	// limiting.
 	HostMaxInFlight int
-	// CacheMaxEntries caps each shared per-host history cache
-	// (0 = unlimited).
-	CacheMaxEntries int
+	// CacheMaxBytes caps the charged bytes of each shared per-host
+	// history cache (0 = unlimited).
+	CacheMaxBytes int64
 	// HistoryDir, when set, checkpoints each shared per-host history
 	// cache there on shutdown (and periodically, piggybacked on journal
 	// checkpoints) and warm-starts new caches from matching checkpoints,
@@ -519,7 +519,7 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 			host:    host,
 			targets: make(map[string]*target),
 			exec:    queryexec.Options{Wire: m.wireHist.With(host), ExecLatency: m.execHist.With(host)},
-			hist:    history.Options{MaxEntries: m.cfg.CacheMaxEntries, Lookup: m.cacheHist.With(host)},
+			hist:    history.Options{MaxBytes: m.cfg.CacheMaxBytes, Lookup: m.cacheHist.With(host)},
 		}
 		if m.cfg.HostRatePerSec > 0 || m.cfg.HostMaxInFlight > 0 {
 			he.exec.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
@@ -1015,7 +1015,7 @@ func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, er
 	}
 	// Release the replica machinery: terminal views read finalStats and
 	// j.set, and a long-running daemon must not retain every finished
-	// job's samplers, pipelines and duplicate sample slices.
+	// job's replicas and their live sample slice.
 	j.rs = nil
 	j.crawler = nil
 	j.mu.Unlock()
@@ -1213,11 +1213,11 @@ type HostStats struct {
 	ExactHits int64 `json:"exact_hits"`
 	Inferred  int64 `json:"inferred"`
 	Evictions int64 `json:"evictions"`
-	// Entries is the total cached query count (Protected the pinned
-	// subset), Throttled the wire requests the admission limiter had to
-	// delay for the politeness budget.
+	// Entries is the total cached query count and Bytes their charged
+	// bytes; Throttled counts the wire requests the admission limiter had
+	// to delay for the politeness budget.
 	Entries   int   `json:"entries"`
-	Protected int   `json:"protected"`
+	Bytes     int64 `json:"bytes"`
 	Throttled int64 `json:"throttled"`
 	// Coalesced / WireCalls sum the host's execution-layer work: queries
 	// answered by joining identical in-flight queries, and total wire
@@ -1294,7 +1294,7 @@ func (m *Manager) Hosts() []HostStats {
 			hs.Evictions += cs.Evictions
 			for _, ss := range c.ShardStats() {
 				hs.Entries += ss.Entries
-				hs.Protected += ss.Protected
+				hs.Bytes += ss.Bytes
 				shardLoads = append(shardLoads, float64(ss.Entries))
 			}
 		}

@@ -68,8 +68,8 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return float64(h.Saved()) })
 	perHost("hdsamplerd_host_cache_entries", "Resident entries in each host's shared history caches.", false,
 		func(h HostStats) float64 { return float64(h.Entries) })
-	perHost("hdsamplerd_host_cache_protected_entries", "Pinned overflow entries holding rows a walk read (never evicted).", false,
-		func(h HostStats) float64 { return float64(h.Protected) })
+	perHost("hdsamplerd_host_cache_bytes", "Charged bytes of the resident entries in each host's shared history caches.", false,
+		func(h HostStats) float64 { return float64(h.Bytes) })
 	perHost("hdsamplerd_host_cache_evictions_total", "Entries reclaimed by each host cache's CLOCK eviction.", true,
 		func(h HostStats) float64 { return float64(h.Evictions) })
 	perHost("hdsamplerd_host_cache_shard_balance_cv", "Coefficient of variation of per-shard entry counts (0 = perfectly balanced).", false,

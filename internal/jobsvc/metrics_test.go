@@ -93,6 +93,45 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 }
 
+// TestHostCacheBytesGauge runs a few jobs on a manager whose host cache is
+// capped by bytes: the cache-bytes gauge reads the cache's charged bytes,
+// at or below the budget the jobs pushed it against.
+func TestHostCacheBytesGauge(t *testing.T) {
+	const budget = 64 << 10
+	_, srv := newTarget(t, 2000, 50, hiddendb.CountNone)
+	m := newTestManager(t, srv, Config{MaxConcurrent: 1, CacheMaxBytes: budget})
+	h := httptest.NewServer(NewHandler(m))
+	t.Cleanup(h.Close)
+	api := &apiClient{t: t, base: h.URL, c: h.Client()}
+	for seed := int64(1); seed <= 3; seed++ {
+		v := api.submit(Spec{URL: srv.URL, N: 20, Workers: 1, Seed: seed})
+		api.wait(v.ID, 30*time.Second, func(v View) bool { return v.State.Terminal() })
+		if got := api.job(v.ID); got.State != StateCompleted {
+			t.Fatalf("job %s finished %v (%s), want completed", v.ID, got.State, got.Error)
+		}
+	}
+
+	code, body := api.do(http.MethodGet, "/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", code)
+	}
+	mm := regexp.MustCompile(`(?m)^hdsamplerd_host_cache_bytes\{host="[^"]+"\} (\S+)$`).FindStringSubmatch(string(body))
+	if mm == nil {
+		t.Fatalf("no cache-bytes gauge:\n%s", grepLines(string(body), "host_cache"))
+	}
+	gauge, err := strconv.ParseFloat(mm[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := m.Hosts()
+	if len(hosts) != 1 || hosts[0].Evictions == 0 {
+		t.Fatalf("hosts %+v: want one host whose cache hit its budget", hosts)
+	}
+	if gauge <= 0 || gauge > budget || int64(gauge) != hosts[0].Bytes {
+		t.Fatalf("cache-bytes gauge %v, host bytes %d, budget %d", gauge, hosts[0].Bytes, budget)
+	}
+}
+
 var (
 	helpRe   = regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) (.*)$`)
 	typeRe   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)

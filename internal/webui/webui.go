@@ -28,6 +28,10 @@ import (
 type Server struct {
 	conn formclient.Conn
 	k    int
+	// cached is the query stack of runs with history on. There is one per
+	// server, so a run reuses every answer earlier runs paid for; its
+	// cache is unbounded and lives as long as the server.
+	cached *hdsampler.Stack
 
 	mu       sync.Mutex
 	schema   *hiddendb.Schema
@@ -36,8 +40,9 @@ type Server struct {
 }
 
 // run is one sampling session, drawn the way jobsvc draws a job: a
-// one-replica ReplicaSet over its own query stack, read through Progress
-// and Samples, and stopped by cancelling its context.
+// one-replica ReplicaSet over a query stack (the server's cached one when
+// history is on), read through Progress and Samples, and stopped by
+// cancelling its context.
 type run struct {
 	rs     *hdsampler.ReplicaSet
 	stop   context.CancelFunc
@@ -58,7 +63,11 @@ func NewServer(conn formclient.Conn, k int) *Server {
 	if k <= 0 {
 		k = 1000
 	}
-	return &Server{conn: conn, k: k}
+	return &Server{
+		conn:   conn,
+		k:      k,
+		cached: hdsampler.NewStack(conn, queryexec.Options{}, &history.Options{}),
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -271,9 +280,9 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		Attrs:        attrs,
 		ShuffleOrder: r.Form.Get("shuffle") != "",
 	}
-	var hist *history.Options
-	if r.Form.Get("history") != "" {
-		hist = &history.Options{}
+	st := s.cached
+	if r.Form.Get("history") == "" {
+		st = hdsampler.NewStack(s.conn, queryexec.Options{}, nil)
 	}
 	switch r.Form.Get("method") {
 	case "walk", "":
@@ -296,7 +305,6 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 
 	//hdlint:ignore ctxflow the launched run outlives the submitting HTTP request by design; deriving from r.Context() would cancel it on response
 	ctx, stop := context.WithCancel(context.Background())
-	st := hdsampler.NewStack(s.conn, queryexec.Options{}, hist)
 	rs, err := hdsampler.NewReplicaSet(ctx, st.Conn(), cfg, 1)
 	if err != nil {
 		stop()

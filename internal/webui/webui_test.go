@@ -135,6 +135,50 @@ func TestStartStatusAndCompletion(t *testing.T) {
 	}
 }
 
+// TestHistoryRunsShareOneCache runs the same history-on form twice
+// against one server: the second run draws through the cache the first
+// one filled, so it bills fewer wire queries on the server's connector.
+func TestHistoryRunsShareOneCache(t *testing.T) {
+	ds := datagen.Vehicles(2000, 3)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := formclient.NewLocal(db)
+	srv := httptest.NewServer(NewServer(local, db.K()))
+	t.Cleanup(srv.Close)
+	form := url.Values{
+		"n": {"30"}, "slider": {"50"}, "method": {"walk"},
+		"attr": {"0", "1", "2", "5", "6"}, "history": {"on"}, "shuffle": {"on"},
+	}
+	var wire [2]int64
+	for i := range wire {
+		before := local.Stats().Queries
+		startRun(t, srv, form)
+		if st := waitDone(t, srv); st.Error != "" || st.Accepted != 30 {
+			t.Fatalf("run %d: accepted %d, error %q", i+1, st.Accepted, st.Error)
+		}
+		wire[i] = local.Stats().Queries - before
+	}
+	if wire[1] >= wire[0] {
+		t.Fatalf("wire queries: first run %d, second %d; want the second run to reuse the first's answers", wire[0], wire[1])
+	}
+}
+
+// waitDone polls /status until the active run is done.
+func waitDone(t *testing.T, srv *httptest.Server) statusResponse {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if st := getStatus(t, srv); st.Done {
+			return st
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatal("run did not finish")
+	return statusResponse{}
+}
+
 // slowSchemaConn answers Schema after a delay, like a form page fetched
 // over the network, so concurrent starts overlap while they build their
 // samplers.

@@ -10,6 +10,8 @@ import (
 	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/history"
+	"hdsampler/internal/queryexec"
 )
 
 // TestStackConfigurationsAgree pins that the query stack is transparent to
@@ -18,9 +20,12 @@ import (
 // every stack configuration, accept the same tuples in the same order:
 // history answers, coalescing, admission control and absorbed transient
 // faults change which queries reach the interface, never what the walk
-// sees. The attribute-scoped leg walks two attributes only, so most walks
-// end on an overflowing last level and pick among that answer's rows —
-// rows the history cache must keep because the walk asked for them.
+// sees. So does a history cache capped so small that most stores evict,
+// drawn by a one-replica ReplicaSet over NewStack as jobsvc draws. The
+// attribute-scoped leg walks two attributes only, so most walks end on an
+// overflowing last level and pick among that answer's rows — rows the
+// history cache must keep because the walk asked for them, and fetch again
+// once they are evicted.
 func TestStackConfigurationsAgree(t *testing.T) {
 	for _, mode := range []hiddendb.CountMode{hiddendb.CountNone, hiddendb.CountExact} {
 		t.Run(fmt.Sprint("counts=", mode), func(t *testing.T) {
@@ -73,6 +78,20 @@ func stackConfigurationsAgree(t *testing.T, mode hiddendb.CountMode, attrs []int
 			"want a candidate per answer, mostly overflowing", ref.Candidates, probe.answers, probe.overflows)
 	}
 
+	check := func(path string, got []Tuple, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: drew %d samples, want %d", path, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("%s: sample %d is tuple %d, want %d", path, i, got[i].ID, want[i].ID)
+			}
+		}
+	}
 	for _, tc := range configs {
 		cfg := tc.cfg
 		cfg.Seed, cfg.C, cfg.ShuffleOrder, cfg.Attrs = seed, c, true, attrs
@@ -85,33 +104,30 @@ func stackConfigurationsAgree(t *testing.T, mode hiddendb.CountMode, attrs []int
 			faulty = append(faulty, fc)
 			return fc
 		}
-		check := func(path string, got []Tuple, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, path, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: drew %d samples, want %d", tc.name, path, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("%s/%s: sample %d is tuple %d, want %d", tc.name, path, i, got[i].ID, want[i].ID)
-				}
-			}
-		}
 		s, err := New(ctx, conn(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := s.Draw(ctx, n)
-		check("New", got, err)
+		check(tc.name+"/New", got, err)
 		got, _, err = DrawParallel(ctx, conn(), cfg, n, 1)
-		check("DrawParallel", got, err)
+		check(tc.name+"/DrawParallel", got, err)
 		for _, fc := range faulty {
 			if fc.FaultStats().Transients == 0 {
 				t.Errorf("%s: no transient fault was injected", tc.name)
 			}
 		}
+	}
+
+	st := NewStack(formclient.NewLocal(db), queryexec.Options{}, &history.Options{MaxBytes: 4 << 10})
+	rs, err := NewReplicaSet(ctx, st.Conn(), Config{Seed: seed, C: c, ShuffleOrder: true, Attrs: attrs}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := rs.Draw(ctx, n)
+	check("capped-history/ReplicaSet", got, err)
+	if cs := st.Cache().CacheStats(); 2*cs.Evictions <= cs.Issued+cs.Inferred {
+		t.Fatalf("capped cache evicted %d times in %d stores, want most stores to evict", cs.Evictions, cs.Issued+cs.Inferred)
 	}
 }
 

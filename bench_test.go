@@ -88,6 +88,47 @@ func BenchmarkHiddenDBExecute(b *testing.B) {
 	}
 }
 
+// wireQuery is one query a draw sent its connector, with whether the
+// walk asked for an overflowing answer's rows.
+type wireQuery struct {
+	q    hiddendb.Query
+	rows bool
+}
+
+// recordConn records the queries that reach the connector below it.
+type recordConn struct {
+	Conn
+	log []wireQuery
+}
+
+func (r *recordConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	r.log = append(r.log, wireQuery{q, formclient.RowsWanted(ctx)})
+	return r.Conn.Execute(ctx, q)
+}
+
+// BenchmarkExecuteWalkMix measures DB.ExecuteRows on the walk's own query
+// mix: the wire queries, with their rows-wanted flags, that the fixed-seed
+// 200-sample draw of TestDrawCountersAndAllocs sends formclient.Local over
+// 100k vehicles at k = 1000, replayed one query per op. Unlike
+// BenchmarkExecuteIntersect's single skewed query, its intersections probe
+// posting lists of every density, in an order no branch predictor learns.
+func BenchmarkExecuteWalkMix(b *testing.B) {
+	db, err := walkMixDB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &recordConn{Conn: LocalConn(db)}
+	drawWalkMix(b, rec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := rec.log[i%len(rec.log)]
+		if _, err := db.ExecuteRows(w.q, w.rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWalkerCandidate measures one full drill-down (including
 // restarts) against an in-process interface.
 func BenchmarkWalkerCandidate(b *testing.B) {

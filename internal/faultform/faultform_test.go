@@ -20,6 +20,9 @@ func testDB(t testing.TB, n, k int, mode hiddendb.CountMode) *hiddendb.DB {
 	return db
 }
 
+// overflowQuery returns a query that overflows. Its k rows come back
+// through formclient.Local only under formclient.WantRows, so the tests
+// that read them ask for them.
 func overflowQuery(t testing.TB, db *hiddendb.DB) hiddendb.Query {
 	t.Helper()
 	// The empty query over a db larger than k always overflows with k rows.
@@ -34,7 +37,7 @@ func overflowQuery(t testing.TB, db *hiddendb.DB) hiddendb.Query {
 func TestInactiveProfilePassesThrough(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountExact)
 	conn := Wrap(formclient.NewLocal(db), Profile{Name: "none"}, 1)
-	res, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())
+	res, err := conn.Execute(formclient.WantRows(context.Background()), hiddendb.EmptyQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestInactiveProfilePassesThrough(t *testing.T) {
 func TestRateLimitBurstAbsorbedByEmulatedRetries(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountNone)
 	conn := Wrap(formclient.NewLocal(db), Profile{RateLimitProb: 1, RateLimitBurst: 2}, 3)
-	ctx := context.Background()
+	ctx := formclient.WantRows(context.Background())
 	q := overflowQuery(t, db)
 
 	before := conn.Stats().RateLimitRetries
@@ -123,7 +126,7 @@ func TestJitterTrimsAndFlagsOverflow(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountNone)
 	inner := formclient.NewLocal(db)
 	conn := Wrap(inner, Profile{TopKJitter: 1}, 99)
-	ctx := context.Background()
+	ctx := formclient.WantRows(context.Background())
 	q := overflowQuery(t, db)
 
 	want, _ := db.Execute(q)
@@ -154,10 +157,28 @@ func TestJitterTrimsAndFlagsOverflow(t *testing.T) {
 	}
 }
 
+// An overflowing answer whose rows no walk asked for comes back from
+// formclient.Local as a flag and a count: there is no page to trim or
+// reorder, so neither fault fires or counts.
+func TestUnwantedOverflowDrawsNoContentFaults(t *testing.T) {
+	db := testDB(t, 200, 25, hiddendb.CountNone)
+	conn := Wrap(formclient.NewLocal(db), Profile{TopKJitter: 1, Reorder: true}, 99)
+	res, err := conn.Execute(context.Background(), overflowQuery(t, db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("want a row-less overflow answer, got overflow %v with %d rows", res.Overflow, len(res.Tuples))
+	}
+	if st := conn.FaultStats(); st.Jittered != 0 || st.Reordered != 0 {
+		t.Fatalf("jittered %d, reordered %d: want no content fault on a row-less answer", st.Jittered, st.Reordered)
+	}
+}
+
 func TestReorderPermutesDeterministically(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountNone)
 	conn := Wrap(formclient.NewLocal(db), Profile{Reorder: true}, 7)
-	ctx := context.Background()
+	ctx := formclient.WantRows(context.Background())
 	q := overflowQuery(t, db)
 
 	want, _ := db.Execute(q)

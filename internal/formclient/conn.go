@@ -10,9 +10,10 @@
 // A caller that will read an overflowing answer's rows says so with
 // WantRows. The drill-down reads them only at its last level, where the
 // query cannot be narrowed any further, so every other overflow answer is
-// just a flag. HTTP decodes result pages in one pass over the body, with
-// no DOM (the htmlx DOM is used for form discovery only), and decodes an
-// overflow page's rows only when they are wanted.
+// just a flag. Local then skips building those rows in the database
+// (hiddendb.DB.ExecuteRows). HTTP decodes result pages in one pass over
+// the body, with no DOM (the htmlx DOM is used for form discovery only),
+// and decodes an overflow page's rows only when they are wanted.
 package formclient
 
 import (
@@ -48,8 +49,9 @@ type Conn interface {
 	// answer always carries all its rows. When RowsWanted(ctx), an
 	// overflowing answer carries its full visible top-k, across every
 	// page of a paginated site; otherwise a connector may omit those rows
-	// and return the overflow flag and count alone. Decorators pass ctx
-	// through, so the request reaches the wire.
+	// and return the overflow flag and count alone, and Local and HTTP
+	// do. Callers must not read an unwanted overflow answer's rows.
+	// Decorators pass ctx through, so the request reaches the wire.
 	Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error)
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
@@ -74,8 +76,9 @@ func RowsWanted(ctx context.Context) bool {
 	return v
 }
 
-// Local is a Conn bound directly to an in-process database. It returns
-// every answer's rows whether or not they are wanted.
+// Local is a Conn bound directly to an in-process database. Like HTTP, it
+// returns an overflowing answer's rows only when they are wanted, and the
+// database skips building the rows that are not.
 type Local struct {
 	db      *hiddendb.DB
 	queries atomic.Int64
@@ -100,7 +103,7 @@ func (l *Local) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 		return nil, err
 	}
 	l.queries.Add(1)
-	return l.db.Execute(q)
+	return l.db.ExecuteRows(q, RowsWanted(ctx))
 }
 
 // Stats implements Conn.

@@ -50,11 +50,16 @@ func TestLocalConn(t *testing.T) {
 	if err != nil || schema.NumAttrs() != 4 {
 		t.Fatalf("Schema: %v %v", schema, err)
 	}
+	// An overflowing answer carries its rows only when they are wanted.
 	res, err := conn.Execute(ctx, hiddendb.EmptyQuery())
-	if err != nil || !res.Overflow {
-		t.Fatalf("Execute: %+v %v", res, err)
+	if err != nil || !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("Execute: %+v %v, want a row-less overflow answer", res, err)
 	}
-	if got := conn.Stats().Queries; got != 1 {
+	res, err = conn.Execute(WantRows(ctx), hiddendb.EmptyQuery())
+	if err != nil || !res.Overflow || len(res.Tuples) != 5 {
+		t.Fatalf("Execute with rows wanted: %+v %v, want an overflow answer with 5 rows", res, err)
+	}
+	if got := conn.Stats().Queries; got != 2 {
 		t.Fatalf("Queries = %d", got)
 	}
 	cancelled, cancel := context.WithCancel(ctx)

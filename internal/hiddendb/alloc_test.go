@@ -8,8 +8,9 @@ import (
 
 // The hot-path allocation ceilings below are regression guards for the
 // zero-allocation query pipeline: Key/Hash must stay free, and Execute
-// must allocate only its Result envelope (the intersection runs on pooled
-// scratch and the returned tuples share the database's storage).
+// must allocate only its Result envelope and tuple headers (the
+// intersection runs on pooled scratch and the returned tuples share the
+// database's storage); a row-less overflow answer, only the envelope.
 
 func TestQueryKeyAllocs(t *testing.T) {
 	if raceEnabled {
@@ -89,6 +90,29 @@ func TestDBExecuteExactCountAllocs(t *testing.T) {
 	})
 	if n > 3 {
 		t.Fatalf("Execute (exact counts) allocated %.1f per call, want <= 3", n)
+	}
+}
+
+func TestDBExecuteRowlessOverflowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; ceilings measured without -race")
+	}
+	db, q := allocTestDB(t, CountNone)
+	res, err := db.ExecuteRows(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("want a row-less overflow answer, got overflow %v with %d rows", res.Overflow, len(res.Tuples))
+	}
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := db.ExecuteRows(q, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The Result header alone: no rows are built.
+	if n > 1 {
+		t.Fatalf("row-less overflow ExecuteRows allocated %.1f per call, want <= 1", n)
 	}
 }
 

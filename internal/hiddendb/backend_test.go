@@ -82,6 +82,8 @@ func diffQueries(rng *rand.Rand, schema *Schema) []Query {
 // intersections must answer exactly as a scan of the tuples in rank
 // order does — the first K matches, overflow iff more than K match, and
 // the exact total under CountExact — across count modes and query shapes.
+// ExecuteRows without overflow rows must give the same answers, except
+// that an overflowing one carries no rows.
 func TestPostingBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	schema := diffSchema(t)
@@ -119,6 +121,23 @@ func TestPostingBackendsAgree(t *testing.T) {
 			for i, tu := range res.Tuples {
 				if tu.ID != want[i] {
 					t.Fatalf("%s: query %s row %d: tuple %d, scan has %d", mode, q.Key(), i, tu.ID, want[i])
+				}
+			}
+			bare, err := db.ExecuteRows(q, false)
+			if err != nil {
+				t.Fatalf("%s: ExecuteRows(%s, false): %v", mode, q.Key(), err)
+			}
+			wantRows := len(want)
+			if bare.Overflow {
+				wantRows = 0
+			}
+			if bare.Overflow != res.Overflow || bare.Count != res.Count || len(bare.Tuples) != wantRows {
+				t.Fatalf("%s: query %s without overflow rows: overflow %v count %d rows %d, want %v, %d, %d",
+					mode, q.Key(), bare.Overflow, bare.Count, len(bare.Tuples), res.Overflow, res.Count, wantRows)
+			}
+			for i, tu := range bare.Tuples {
+				if tu.ID != want[i] {
+					t.Fatalf("%s: query %s without overflow rows, row %d: tuple %d, scan has %d", mode, q.Key(), i, tu.ID, want[i])
 				}
 			}
 		}

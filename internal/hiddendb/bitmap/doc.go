@@ -19,7 +19,11 @@
 // order with word-level AND kernels (bits.OnesCount64 loops over the
 // 1024-word blocks) and shape-specialized array/run kernels; because
 // keys are processed in ascending order, results stream out smallest
-// value first — rank order, when the values are rank positions.
+// value first — rank order, when the values are rank positions. Array
+// containers are filtered in place without branching on membership, as
+// Roaring does: an array is probed against a bitmap operand's words, or
+// against another array spread into the result container's spare word
+// block, unless that array is over 64 times larger and is galloped.
 //
 // The package is allocation-disciplined: IntersectInto, Or and AndNot
 // write into a caller-owned destination Bitmap whose container storage

@@ -159,30 +159,26 @@ func (c *container) foldAnd(o *container) {
 	c.foldAndBitmap(o)
 }
 
+// gallopRatio is the operand size ratio past which an array∩array fold
+// gallops the larger array instead of spreading it into a word block.
+// Spreading touches every value of both arrays; galloping touches each
+// value of the smaller one and O(log gap) of the larger. Roaring switches
+// algorithms at the same ratio.
+const gallopRatio = 64
+
 // foldAndArray filters c.arr (sorted) down to the values o contains.
 func (c *container) foldAndArray(o *container) {
 	arr := c.arr
-	out := arr[:0]
+	var n int
 	switch o.typ {
 	case typeArray:
-		// Gallop the larger list from a monotone cursor.
-		ob := o.arr
-		k := 0
-		for _, v := range arr {
-			k = gallopKeys(ob, k, v)
-			if k == len(ob) {
-				break
-			}
-			if ob[k] == v {
-				out = append(out, v)
-			}
+		if len(o.arr) > gallopRatio*len(arr) {
+			n = gallopFilter(arr, o.arr)
+		} else {
+			n = filterByWords(arr, c.spread(o.arr))
 		}
 	case typeBitmap:
-		for _, v := range arr {
-			if o.words[v>>6]&(uint64(1)<<(v&63)) != 0 {
-				out = append(out, v)
-			}
-		}
+		n = filterByWords(arr, (*[containerWords]uint64)(o.words))
 	default: // typeRun
 		k := 0
 		for _, v := range arr {
@@ -193,12 +189,73 @@ func (c *container) foldAndArray(o *container) {
 				break
 			}
 			if o.runs[k].Start <= v {
-				out = append(out, v)
+				arr[n] = v
+				n++
 			}
 		}
 	}
-	c.arr = out
-	c.card = int32(len(out))
+	c.arr = arr[:n]
+	c.card = int32(n)
+}
+
+// gallopFilter keeps the values of arr that ob (sorted, much larger)
+// contains, writing them in place, and returns how many it kept. It
+// gallops ob from a monotone cursor.
+func gallopFilter(arr, ob []uint16) int {
+	n, k := 0, 0
+	for _, v := range arr {
+		k = gallopKeys(ob, k, v)
+		if k == len(ob) {
+			break
+		}
+		if ob[k] == v {
+			arr[n] = v
+			n++
+		}
+	}
+	return n
+}
+
+// spread sets vals' bits in c's word block, which an array container
+// does not use, after clearing it, and returns the block.
+func (c *container) spread(vals []uint16) *[containerWords]uint64 {
+	if cap(c.words) < containerWords {
+		c.words = make([]uint64, 0, containerWords)
+	}
+	words := (*[containerWords]uint64)(c.words[:containerWords])
+	clear(words[:])
+	for _, v := range vals {
+		words[v>>6] |= uint64(1) << (v & 63)
+	}
+	return words
+}
+
+// filterByWords keeps the values of arr whose bits are set in words,
+// writing them in place, and returns how many it kept. It never branches
+// on a probe: every value is written, and the write cursor advances by
+// the value's bit, so a membership test the CPU cannot predict costs no
+// misprediction. Four probes are loaded ahead of their writes, so the
+// loads do not wait on the cursor.
+func filterByWords(arr []uint16, words *[containerWords]uint64) int {
+	bit := func(v uint16) int { return int(words[v>>6] >> (v & 63) & 1) }
+	n, i := 0, 0
+	for ; i+4 <= len(arr); i += 4 {
+		v0, v1, v2, v3 := arr[i], arr[i+1], arr[i+2], arr[i+3]
+		b0, b1, b2, b3 := bit(v0), bit(v1), bit(v2), bit(v3)
+		arr[n] = v0
+		n += b0
+		arr[n] = v1
+		n += b1
+		arr[n] = v2
+		n += b2
+		arr[n] = v3
+		n += b3
+	}
+	for _, v := range arr[i:] {
+		arr[n] = v
+		n += bit(v)
+	}
+	return n
 }
 
 // foldAndBitmap intersects into c's word block. An array operand flips
@@ -206,15 +263,11 @@ func (c *container) foldAndArray(o *container) {
 func (c *container) foldAndBitmap(o *container) {
 	switch o.typ {
 	case typeArray:
-		out := c.arr[:0]
-		for _, v := range o.arr {
-			if c.words[v>>6]&(uint64(1)<<(v&63)) != 0 {
-				out = append(out, v)
-			}
-		}
+		arr := append(c.arr[:0], o.arr...)
+		n := filterByWords(arr, (*[containerWords]uint64)(c.words))
 		c.typ = typeArray
-		c.arr = out
-		c.card = int32(len(out))
+		c.arr = arr[:n]
+		c.card = int32(n)
 		c.words = c.words[:0]
 	case typeBitmap:
 		c.card = andWords(c.words, o.words)

@@ -65,9 +65,9 @@ type Config struct {
 var ErrBudgetExhausted = errors.New("hiddendb: query budget exhausted")
 
 // DB is an in-memory hidden database: a tuple store that can only be
-// queried through Execute, which applies conjunctive filtering, top-k
-// truncation under a deterministic ranking, and the configured count
-// reporting. It is safe for concurrent use.
+// queried through ExecuteRows (or Execute), which applies conjunctive
+// filtering, top-k truncation under a deterministic ranking, and the
+// configured count reporting. It is safe for concurrent use.
 type DB struct {
 	schema *Schema
 	cfg    Config
@@ -83,9 +83,9 @@ type DB struct {
 	// rank order. A nil entry means no tuple has that value.
 	postings [][]*bitmap.Bitmap
 
-	// scratch pools per-Execute intersection state (posting views, result
-	// bitmap, match buffer) so the hot path allocates nothing beyond the
-	// Result it returns.
+	// scratch pools per-Execute intersection state (posting views and the
+	// result bitmap) so the hot path allocates nothing beyond the Result
+	// it returns.
 	scratch sync.Pool
 
 	queries atomic.Int64
@@ -93,7 +93,6 @@ type DB struct {
 
 // matchScratch is the reusable per-Execute intersection state.
 type matchScratch struct {
-	out   []int32
 	views []*bitmap.Bitmap
 	res   *bitmap.Bitmap
 }
@@ -201,7 +200,7 @@ func (db *DB) CountMode() CountMode { return db.cfg.CountMode }
 // experiments for ground truth).
 func (db *DB) Size() int { return len(db.tuples) }
 
-// QueriesServed returns the number of Execute calls answered so far.
+// QueriesServed returns the number of queries answered so far.
 func (db *DB) QueriesServed() int64 { return db.queries.Load() }
 
 // ResetBudget reopens a budget-exhausted database (used between experiment
@@ -210,12 +209,21 @@ func (db *DB) ResetBudget() { db.queries.Store(0) }
 
 // Execute answers one conjunctive query through the restricted interface:
 // the top-k matches in rank order, the overflow flag, and a count according
-// to the configured CountMode. This is the only read path a client has.
+// to the configured CountMode. It is ExecuteRows with an overflowing
+// answer's rows: what a result page shows.
 //
 // The returned tuples share the database's immutable backing storage —
 // callers must treat Result.Tuples as read-only and Clone tuples they
 // intend to own (see Result's documentation).
-func (db *DB) Execute(q Query) (*Result, error) {
+func (db *DB) Execute(q Query) (*Result, error) { return db.ExecuteRows(q, true) }
+
+// ExecuteRows answers one conjunctive query, the only read path a client
+// has. A valid answer always carries its rows; an overflowing one carries
+// its top-k rows only when overflowRows is set, and is otherwise the flag
+// and the count alone, for a client that narrows the query instead of
+// reading them. Either way the query is served in full: it is counted and
+// billed against QueryBudget, and its count is reported per CountMode.
+func (db *DB) ExecuteRows(q Query, overflowRows bool) (*Result, error) {
 	if err := q.ValidateAgainst(db.schema); err != nil {
 		return nil, err
 	}
@@ -228,17 +236,17 @@ func (db *DB) Execute(q Query) (*Result, error) {
 	// same intersection pass instead of re-deriving the whole intersection
 	// afterwards. Count-free interfaces stop scanning at K+1.
 	needTotal := db.cfg.CountMode != CountNone
-	matchPos, total := db.matchBitmap(sc, q, db.cfg.K+1, needTotal)
+	match, total := db.matchBitmap(sc, q, db.cfg.K+1, needTotal)
 	// The answer's two-allocation budget: the Result header here plus its
-	// Tuples slice below.
+	// Tuples slice below, which a row-less overflow answer does without.
 	res := &Result{Count: CountAbsent}
+	rows := total
 	if total > db.cfg.K {
 		res.Overflow = true
-		matchPos = matchPos[:db.cfg.K]
+		rows = db.cfg.K
 	}
-	res.Tuples = make([]Tuple, len(matchPos))
-	for i, pos := range matchPos {
-		res.Tuples[i] = db.tuples[db.byRank[pos]]
+	if rows > 0 && (!res.Overflow || overflowRows) {
+		res.Tuples = db.rowsOf(match, rows)
 	}
 	switch db.cfg.CountMode {
 	case CountExact:
@@ -250,34 +258,19 @@ func (db *DB) Execute(q Query) (*Result, error) {
 	return res, nil
 }
 
-// matchAll answers the empty (predicate-free) query: every tuple
-// matches, so the first limit rank positions are simply 0..limit-1.
-func (db *DB) matchAll(sc *matchScratch, limit int) (pos []int32, total int) {
-	total = len(db.tuples)
-	n := total
-	if n > limit {
-		n = limit
-	}
-	out := sc.out[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, int32(i))
-	}
-	sc.out = out
-	return out, total
-}
-
-// matchBitmap intersects the query's posting bitmaps into sc.res,
-// seeded from the lowest-cardinality predicate, and materializes the
-// first limit matching rank positions, in rank order, into sc.out. The
-// exact total falls out of the result cardinality for free when
-// needTotal is set (the CountExact single-pass contract); otherwise the
-// intersection early-exits once limit values are known, and total is
-// only guaranteed to be ≥ limit or exact — still enough to decide
-// overflow at limit = K+1.
-func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) (pos []int32, total int) {
+// matchBitmap intersects the query's posting bitmaps into sc.res, seeded
+// from the lowest-cardinality predicate, and returns the bitmap whose
+// smallest values are the matching rank positions (nil for the empty
+// query, which every tuple matches, and when nothing matches) with the
+// match total. The exact total
+// falls out of the result cardinality for free when needTotal is set (the
+// CountExact single-pass contract); otherwise the intersection
+// early-exits once limit values are known, and total is only guaranteed
+// to be ≥ limit or exact — still enough to decide overflow at limit = K+1.
+func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) (match *bitmap.Bitmap, total int) {
 	d := q.Len()
 	if d == 0 {
-		return db.matchAll(sc, limit)
+		return nil, len(db.tuples)
 	}
 	views := sc.views[:0]
 	for i := 0; i < d; i++ {
@@ -286,37 +279,33 @@ func (db *DB) matchBitmap(sc *matchScratch, q Query, limit int, needTotal bool) 
 		if pb == nil {
 			// No tuple carries this value: the conjunction is empty.
 			sc.views = views
-			sc.out = sc.out[:0]
-			return sc.out, 0
+			return nil, 0
 		}
 		views = append(views, pb)
 	}
 	sc.views = views
 	if d == 1 {
-		return db.materialize(sc, views[0], limit, views[0].Cardinality())
+		return views[0], views[0].Cardinality()
 	}
-	total = bitmap.IntersectInto(sc.res, views, limit, needTotal)
-	return db.materialize(sc, sc.res, limit, total)
+	return sc.res, bitmap.IntersectInto(sc.res, views, limit, needTotal)
 }
 
-// materialize copies the first limit values of b into sc.out as rank
-// positions.
-func (db *DB) materialize(sc *matchScratch, b *bitmap.Bitmap, limit, total int) (pos []int32, n int) {
-	k := b.Cardinality()
-	if k > limit {
-		k = limit
-	}
-	out := sc.out[:0]
-	it := b.Iterator()
-	for i := 0; i < k; i++ {
-		v, ok := it.Next()
-		if !ok {
-			break
+// rowsOf returns the tuples at the first n rank positions of match (of
+// the whole rank order when match is nil), in rank order.
+func (db *DB) rowsOf(match *bitmap.Bitmap, n int) []Tuple {
+	out := make([]Tuple, n)
+	if match == nil {
+		for i := range out {
+			out[i] = db.tuples[db.byRank[i]]
 		}
-		out = append(out, int32(v))
+		return out
 	}
-	sc.out = out
-	return out, total
+	it := match.Iterator()
+	for i := range out {
+		pos, _ := it.Next()
+		out[i] = db.tuples[db.byRank[pos]]
+	}
+	return out
 }
 
 // approxCount perturbs the exact count by a deterministic multiplicative

@@ -147,7 +147,8 @@ func TestQueryBudget(t *testing.T) {
 	db := fig1DB(t, 2)
 	db.cfg.QueryBudget = 3
 	for i := 0; i < 3; i++ {
-		if _, err := db.Execute(EmptyQuery()); err != nil {
+		// A row-less overflow answer spends the budget like any other.
+		if _, err := db.ExecuteRows(EmptyQuery(), i%2 == 0); err != nil {
 			t.Fatalf("query %d failed: %v", i, err)
 		}
 	}
@@ -167,8 +168,11 @@ func TestQueriesServedCounter(t *testing.T) {
 	}
 	mustExec(t, db, EmptyQuery())
 	mustExec(t, db, MustQuery(Predicate{0, 0}))
-	if got := db.QueriesServed(); got != 2 {
-		t.Fatalf("QueriesServed = %d, want 2", got)
+	if res, err := db.ExecuteRows(EmptyQuery(), false); err != nil || !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("row-less overflow answer: %+v, %v", res, err)
+	}
+	if got := db.QueriesServed(); got != 3 {
+		t.Fatalf("QueriesServed = %d, want 3", got)
 	}
 }
 

@@ -342,9 +342,9 @@ func TestExecutorConnInterface(t *testing.T) {
 	}
 }
 
-// rowsConn answers like a scraping connector: an overflow answer carries
-// rows only when the caller wants them. Every Execute announces itself on
-// entered and waits for release.
+// rowsConn is formclient.Local, whose overflow answers carry rows only
+// when the caller wants them, with every Execute announcing itself on
+// entered and waiting for release.
 type rowsConn struct {
 	*formclient.Local
 	entered chan bool // RowsWanted of each arriving Execute
@@ -352,14 +352,9 @@ type rowsConn struct {
 }
 
 func (c *rowsConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
-	wanted := formclient.RowsWanted(ctx)
-	c.entered <- wanted
+	c.entered <- formclient.RowsWanted(ctx)
 	<-c.release
-	res, err := c.Local.Execute(ctx, q)
-	if err != nil || !res.Overflow || wanted {
-		return res, err
-	}
-	return &hiddendb.Result{Overflow: true, Count: res.Count}, nil
+	return c.Local.Execute(ctx, q)
 }
 
 // TestWantedRowsNeverJoinRowlessFlight: a caller that wants an overflow

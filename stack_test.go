@@ -16,8 +16,10 @@ import (
 
 // TestStackConfigurationsAgree pins that the query stack is transparent to
 // the sample sequence. For a fixed seed, a bare core.Walker + core.Rejector
-// over formclient.Local, and New and DrawParallel with one worker under
-// every stack configuration, accept the same tuples in the same order:
+// over an interface that returns every answer's rows (fullRows), and New
+// and DrawParallel with one worker under every stack configuration over
+// formclient.Local, which omits the rows no walk asked for, accept the
+// same tuples in the same order:
 // history answers, coalescing, admission control and absorbed transient
 // faults change which queries reach the interface, never what the walk
 // sees. So does a history cache capped so small that most stores evict,
@@ -57,7 +59,7 @@ func stackConfigurationsAgree(t *testing.T, mode hiddendb.CountMode, attrs []int
 	db, _ := localVehicles(t, 2000, 100, mode)
 	ctx := context.Background()
 	c := core.SliderC(db.Schema(), attrs, db.K(), 0.6)
-	probe := &lastLevelProbe{Conn: formclient.NewLocal(db), depth: len(attrs)}
+	probe := &lastLevelProbe{Conn: fullRows{db}, depth: len(attrs)}
 	gen, err := core.NewWalker(ctx, probe, core.WalkerConfig{Seed: seed, Order: core.OrderShuffle, Attrs: attrs})
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +132,18 @@ func stackConfigurationsAgree(t *testing.T, mode hiddendb.CountMode, attrs []int
 		t.Fatalf("capped cache evicted %d times in %d stores, want most stores to evict", cs.Evictions, cs.Issued+cs.Inferred)
 	}
 }
+
+// fullRows is a Conn that answers every query in full through DB.Execute,
+// overflowing answers with their rows whether or not they are wanted.
+type fullRows struct{ db *hiddendb.DB }
+
+func (f fullRows) Schema(context.Context) (*hiddendb.Schema, error) { return f.db.Schema(), nil }
+
+func (f fullRows) Execute(_ context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	return f.db.Execute(q)
+}
+
+func (f fullRows) Stats() formclient.Stats { return formclient.Stats{} }
 
 // lastLevelProbe counts the answers to queries with depth predicates and
 // how many of them overflowed.

@@ -21,7 +21,6 @@ import (
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/history"
-	"hdsampler/internal/queryexec"
 	"hdsampler/internal/telemetry"
 )
 
@@ -332,33 +331,4 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			SlowQueries: 10000,
 		})
 	})
-}
-
-func BenchmarkTableExecLayer(b *testing.B) { benchExperiment(b, "exec") }
-
-// BenchmarkExecCoalesce measures the single-flight fast path: parallel
-// workers hammering one hot query through the execution layer. The
-// coalesce ratio it reports is the fraction of queries answered by
-// joining an in-flight request instead of paying a wire round trip.
-func BenchmarkExecCoalesce(b *testing.B) {
-	db := benchVehiclesDB(b, 20000, 1000, hiddendb.CountNone)
-	x := queryexec.New(formclient.NewLocal(db), queryexec.Options{})
-	ctx := context.Background()
-	q := hiddendb.MustQuery(
-		hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1},
-		hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: 0})
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := x.Execute(ctx, q); err != nil {
-				b.Error(err) // b.Fatal must not be called off the benchmark goroutine
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	st := x.ExecStats()
-	if st.Queries > 0 {
-		b.ReportMetric(float64(st.Coalesced)/float64(st.Queries), "coalesced/query")
-	}
 }

@@ -1,9 +1,9 @@
 // Command hdbench regenerates every table and figure of the HDSampler
 // reproduction (`hdbench -list` names them; the README shows how to run
-// them), plus the system-side exhibits (e.g. "exec": the query-execution
-// layer's wire savings). CI runs `hdbench -json` at small scale on every
-// PR and archives the report, so the perf trajectory of the hot paths is
-// recorded per change.
+// them), plus the extension exhibits (e.g. "weighted": Horvitz–Thompson
+// weighting against rejection). CI runs `hdbench -json` at small scale on
+// every PR and archives the report, so the perf trajectory of the hot
+// paths is recorded per change.
 //
 // -matrix switches to the adversarial scenario matrix (internal/scenario):
 // dataset shapes × interface fault profiles × sampler configs, with

@@ -30,10 +30,9 @@
 //     HTTP / API connectors
 //   - internal/history — query memoization and inference
 //   - internal/queryexec — the query-execution layer every sampler routes
-//     through: single-flight coalescing of identical in-flight queries
-//     (complementing the history cache's completed-query memoization), an
-//     AIMD adaptive concurrency limiter with an aggregate per-host rate
-//     budget, and bounded transient retry (Config.Exec tunes it)
+//     through: an AIMD adaptive concurrency limiter with an aggregate
+//     per-host rate budget, and bounded transient retry (Config.Exec
+//     tunes it)
 //   - internal/core — the samplers, rejection, and Draw: the one draw
 //     loop, with live counters and cancellation as its kill switch
 //   - internal/jobsvc — the sampling job-orchestration service behind

@@ -38,8 +38,6 @@ func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB,
 // execution layer, under an AIMD ceiling, over the JSON API connector
 // with the history cache disabled: every sample arrives, and both the
 // replicas' logical query bill and the site's wire traffic are nonzero.
-// Coalescing itself is pinned deterministically by queryexec's
-// TestCoalesceIdenticalInFlight.
 func TestDrawParallelExecOverAPI(t *testing.T) {
 	_, srv, hits := countingTarget(t, 2000, 250, webform.Options{})
 	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
@@ -96,7 +94,8 @@ func TestDrawParallelAggregateRateBounded(t *testing.T) {
 }
 
 // TestReplicaSetExecStats covers the layer's stat plumbing: replicas
-// drawing through a Stack's conn land their queries on its executor.
+// drawing through a Stack's conn land their queries on its executor, one
+// wire call each.
 func TestReplicaSetExecStats(t *testing.T) {
 	ds := datagen.Vehicles(1500, 9)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
@@ -117,8 +116,8 @@ func TestReplicaSetExecStats(t *testing.T) {
 	if xs.Queries == 0 {
 		t.Fatal("executor saw no queries")
 	}
-	if xs.WireCalls > xs.Queries {
-		t.Fatalf("wire calls %d exceed logical queries %d", xs.WireCalls, xs.Queries)
+	if xs.WireCalls != xs.Queries {
+		t.Fatalf("wire calls %d, logical queries %d; want them equal", xs.WireCalls, xs.Queries)
 	}
 }
 

@@ -34,8 +34,8 @@ type (
 	Estimate = estimate.Estimate
 	// Marginal is a sampled attribute histogram.
 	Marginal = estimate.Marginal
-	// ExecStats counts the query-execution layer's coalescing, wire and
-	// retry work.
+	// ExecStats counts the query-execution layer's queries, wire calls
+	// and retries.
 	ExecStats = queryexec.Stats
 )
 
@@ -69,9 +69,8 @@ func (m Method) String() string {
 }
 
 // ExecConfig tunes the query-execution layer (internal/queryexec) every
-// sampler draws through: single-flight coalescing of identical in-flight
-// queries, AIMD-adaptive concurrency limiting shared by every replica on
-// the connector, and bounded transient retry.
+// sampler draws through: AIMD-adaptive concurrency limiting shared by
+// every replica on the connector, and bounded transient retry.
 type ExecConfig struct {
 	// MaxInFlight caps concurrent wire requests across all replicas: the
 	// AIMD ceiling, additively raised on clean responses and
@@ -169,9 +168,6 @@ type Stats struct {
 	// instead.
 	Queries      int64
 	QueriesSaved int64
-	// QueriesCoalesced counts queries answered by joining an identical
-	// in-flight query — the execution layer's savings.
-	QueriesCoalesced int64
 	// QueriesRetried counts wire executions the execution layer repeated
 	// after transient interface faults — misbehaviour absorbed before it
 	// could kill a walk.
@@ -287,9 +283,9 @@ func (r replica) C() float64 {
 }
 
 // Draw synchronously collects n accepted samples. Stats are per-call
-// deltas: the stack's savings (QueriesSaved, QueriesCoalesced,
-// QueriesRetried) are windowed over this call like every other counter,
-// so consecutive Draws never double-report them.
+// deltas: the stack's counters (QueriesSaved, QueriesRetried) are
+// windowed over this call like every other counter, so consecutive Draws
+// never double-report them.
 func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	m := s.stack.mark()
 	start := time.Now()

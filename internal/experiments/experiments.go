@@ -118,7 +118,6 @@ func All() []Experiment {
 		{"ordering", "2007 §opt — fixed vs shuffled attribute order", Ordering},
 		{"crawl", "§1 — crawling vs sampling for one aggregate", CrawlVsSample},
 		{"weighted", "ext — Horvitz–Thompson weighting vs rejection", WeightedEstimation},
-		{"exec", "ext — query-execution layer wire savings", ExecLayer},
 	}
 }
 

@@ -39,8 +39,10 @@ type HTTPOptions struct {
 	// Client is the http.Client to use; defaults to a client with a 30s
 	// timeout.
 	Client *http.Client
-	// MaxRetries bounds the number of attempts per query when the site
-	// answers 429 Too Many Requests; defaults to 5.
+	// MaxRetries bounds the attempts per request: 429 Too Many Requests
+	// answers, 5xx answers and timed-out requests together spend one
+	// budget of MaxRetries attempts, the first one included; defaults to
+	// 5.
 	MaxRetries int
 	// MaxRetryWait caps the per-attempt backoff duration; defaults to 5s.
 	MaxRetryWait time.Duration

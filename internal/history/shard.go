@@ -24,10 +24,7 @@ type clockRing struct {
 }
 
 // get returns the entry with the given signature, walking the collision
-// chain and verifying the full key. The caller holds sh.mu. The chain
-// discipline mirrors queryexec's findCall/removeCall (internal/queryexec/
-// exec.go) — a change to either unlink path likely applies to both; each
-// has its own collision-chain test pinning the surgery.
+// chain and verifying the full key. The caller holds sh.mu.
 func (sh *shard) get(hash uint64, key string) *entry {
 	for e := sh.entries[hash]; e != nil; e = e.next {
 		if e.q.Key() == key {

@@ -171,7 +171,8 @@ type hostEntry struct {
 // target is one (connector kind, base URL): the raw formclient conn
 // (optionally wrapped in the configured fault profile) and one
 // hdsampler.Stack over it per history mode. Jobs sharing a target and a
-// mode share that stack's cache and coalesce on its executor.
+// mode share that stack's cache; every stack on a host shares the host's
+// admission limiter.
 type target struct {
 	key    string // connector + "|" + URL, the checkpoint identity
 	base   formclient.Conn
@@ -1219,11 +1220,9 @@ type HostStats struct {
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Throttled int64 `json:"throttled"`
-	// Coalesced / WireCalls sum the host's execution-layer work: queries
-	// answered by joining identical in-flight queries, and total wire
-	// executions. TransientRetries counts wire executions the layer
-	// repeated after transient interface faults.
-	Coalesced        int64 `json:"coalesced"`
+	// WireCalls sums the host's wire executions. TransientRetries counts
+	// the wire executions the layer repeated after transient interface
+	// faults.
 	WireCalls        int64 `json:"wire_calls"`
 	TransientRetries int64 `json:"transient_retries"`
 	// Faults sums the misbehaviour the configured fault profile injected
@@ -1267,7 +1266,6 @@ func (m *Manager) Hosts() []HostStats {
 		for _, tg := range he.targets {
 			for _, st := range tg.stacks {
 				xs := st.ExecStats()
-				hs.Coalesced += xs.Coalesced
 				hs.WireCalls += xs.WireCalls
 				hs.TransientRetries += xs.TransientRetries
 				if c := st.Cache(); c != nil {

@@ -76,9 +76,7 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return h.ShardBalance.CV })
 	perHost("hdsamplerd_host_throttled_total", "Queries delayed by the per-host politeness budget.", true,
 		func(h HostStats) float64 { return float64(h.Throttled) })
-	perHost("hdsamplerd_host_exec_coalesced_total", "Queries answered by joining an identical in-flight query.", true,
-		func(h HostStats) float64 { return float64(h.Coalesced) })
-	perHost("hdsamplerd_host_exec_wire_calls_total", "Wire executions (one per uncoalesced query, plus transient retries).", true,
+	perHost("hdsamplerd_host_exec_wire_calls_total", "Wire executions (one per query, plus transient retries).", true,
 		func(h HostStats) float64 { return float64(h.WireCalls) })
 	perHost("hdsamplerd_host_exec_in_flight", "Wire requests currently running against each host.", false,
 		func(h HostStats) float64 { return float64(h.InFlight) })
@@ -131,7 +129,7 @@ func (m *Manager) registerMetrics() {
 	m.wireHist = r.HistogramVec("hdsamplerd_host_wire_rtt_seconds",
 		"Wire round-trip latency of real interface requests, per host.", "host")
 	m.execHist = r.HistogramVec("hdsamplerd_host_exec_latency_seconds",
-		"Execution-layer latency per query (coalesced waits included), per host.", "host")
+		"Execution-layer latency per query (admission waits and transient retries included), per host.", "host")
 	m.cacheHist = r.HistogramVec("hdsamplerd_host_cache_lookup_seconds",
 		"History-cache lookup latency on traced walks, per host.", "host")
 	m.walkHist = r.HistogramVec("hdsamplerd_walk_duration_seconds",

@@ -61,7 +61,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"hdsamplerd_queries_saved_total",
 		"hdsamplerd_host_cache_issued_total",
 		"hdsamplerd_host_cache_saved_total",
-		"hdsamplerd_host_exec_coalesced_total",
 		"hdsamplerd_host_exec_wire_calls_total",
 		"hdsamplerd_host_exec_in_flight",
 		"hdsamplerd_host_exec_concurrency_limit",

@@ -21,8 +21,8 @@
 // # The analyzers
 //
 // resultimmut — hiddendb.Result and hiddendb.Tuple may alias storage
-// shared with the database's immutable table, the history cache's
-// entries, and every coalesced follower of a single-flight call. Writes
+// shared with the database's immutable table and the history cache's
+// entries, which every caller of the same query reads. Writes
 // through them are legal only on values the function owns: ones built
 // locally (composite literal, new, zero value) or obtained from Clone.
 // Ownership is tracked per local, with Clone granting deep ownership

@@ -8,8 +8,8 @@ import (
 
 // ResultImmutAnalyzer makes hiddendb's read-only-by-convention rule a
 // build error. Results (and the tuples they carry) may alias storage
-// shared with the hidden database, the history cache's immutable entries,
-// and every coalesced follower of a single-flight call — so code may only
+// shared with the hidden database and the history cache's immutable
+// entries, which every caller of the same query reads — so code may only
 // write through a Result or Tuple it *owns*: one it built itself (a
 // composite literal, new, or the zero value) or obtained from Clone.
 //

@@ -3,7 +3,6 @@ package queryexec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +14,10 @@ import (
 )
 
 // slowConn wraps a Local conn, holding every Execute long enough for
-// concurrent identical queries to pile up on the in-flight call.
+// concurrent queries to pile up at the limiter.
 type slowConn struct {
 	*formclient.Local
 	delay time.Duration
-	execs atomic.Int64
 	peak  atomic.Int64 // peak concurrent Executes
 	cur   atomic.Int64
 }
@@ -33,7 +31,6 @@ func (s *slowConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Res
 		}
 	}
 	defer s.cur.Add(-1)
-	s.execs.Add(1)
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
@@ -50,88 +47,6 @@ func testDB(t testing.TB, n int) *hiddendb.DB {
 	return db
 }
 
-func TestCoalesceIdenticalInFlight(t *testing.T) {
-	db := testDB(t, 500)
-	inner := &slowConn{Local: formclient.NewLocal(db), delay: 20 * time.Millisecond}
-	x := New(inner, Options{})
-	ctx := context.Background()
-	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1})
-
-	const workers = 16
-	var wg sync.WaitGroup
-	results := make([]*hiddendb.Result, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = x.Execute(ctx, q)
-		}(i)
-	}
-	wg.Wait()
-
-	want, err := db.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if len(results[i].Tuples) != len(want.Tuples) || results[i].Overflow != want.Overflow {
-			t.Fatalf("worker %d got %d tuples (overflow %v), want %d (%v)",
-				i, len(results[i].Tuples), results[i].Overflow, len(want.Tuples), want.Overflow)
-		}
-	}
-	st := x.ExecStats()
-	if st.Queries != workers {
-		t.Fatalf("Queries = %d, want %d", st.Queries, workers)
-	}
-	// At least some of the racers must have shared an in-flight answer; a
-	// 20ms hold makes "all 16 executed separately" effectively impossible.
-	if st.Coalesced == 0 {
-		t.Fatal("no queries coalesced despite 16 racers on one key")
-	}
-	if got := inner.execs.Load(); got+st.Coalesced != workers {
-		t.Fatalf("wire executes (%d) + coalesced (%d) != %d logical queries", got, st.Coalesced, workers)
-	}
-	// Fan-out answers share the leader's immutable Result (read-only by
-	// convention); a caller wanting mutable rows clones, and the clone
-	// must be detached from every other caller's answer.
-	if len(results[0].Tuples) > 0 {
-		c := results[0].Tuples[0].Clone()
-		c.Vals[0] = -99
-		for i := 1; i < workers; i++ {
-			if len(results[i].Tuples) > 0 && results[i].Tuples[0].Vals[0] == -99 {
-				t.Fatal("cloned tuple aliases coalesced results")
-			}
-		}
-	}
-}
-
-func TestCoalesceDistinctKeysDoNotShare(t *testing.T) {
-	db := testDB(t, 200)
-	inner := formclient.NewLocal(db)
-	x := New(inner, Options{})
-	ctx := context.Background()
-	r1, err := x.Execute(ctx, hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := x.Execute(ctx, hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.ExecStats().Coalesced != 0 {
-		t.Fatal("distinct sequential queries reported as coalesced")
-	}
-	w1, _ := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 0}))
-	w2, _ := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1}))
-	if len(r1.Tuples) != len(w1.Tuples) || len(r2.Tuples) != len(w2.Tuples) {
-		t.Fatalf("wrong answers: %d/%d want %d/%d", len(r1.Tuples), len(r2.Tuples), len(w1.Tuples), len(w2.Tuples))
-	}
-}
-
 // fixedConn answers every execute with a caller-chosen result and error.
 type fixedConn struct {
 	schema *hiddendb.Schema
@@ -145,6 +60,8 @@ func (c *fixedConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Re
 }
 func (c *fixedConn) Stats() formclient.Stats { return formclient.Stats{} }
 
+// TestErrorsPropagateToAllWaiters: every concurrent caller of a failing
+// query gets the connector's error.
 func TestErrorsPropagateToAllWaiters(t *testing.T) {
 	ds := datagen.Vehicles(50, 7)
 	boom := errors.New("boom")
@@ -337,70 +254,23 @@ func TestExecutorConnInterface(t *testing.T) {
 	if conn.Stats().Queries == 0 {
 		t.Fatal("Stats does not surface the wrapped connector's traffic")
 	}
-	if fmt.Sprint(x.Limiter()) != "<nil>" {
-		t.Fatal("unlimited executor should have a nil limiter")
-	}
 }
 
-// rowsConn is formclient.Local, whose overflow answers carry rows only
-// when the caller wants them, with every Execute announcing itself on
-// entered and waiting for release.
-type rowsConn struct {
-	*formclient.Local
-	entered chan bool // RowsWanted of each arriving Execute
-	release chan struct{}
-}
-
-func (c *rowsConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
-	c.entered <- formclient.RowsWanted(ctx)
-	<-c.release
-	return c.Local.Execute(ctx, q)
-}
-
-// TestWantedRowsNeverJoinRowlessFlight: a caller that wants an overflow
-// answer's rows must not share the answer of a leader that did not ask
-// for them; it leads its own flight. A caller that does not want rows may
-// join either kind.
-func TestWantedRowsNeverJoinRowlessFlight(t *testing.T) {
+// TestWantedRowsReachTheConnector pins the rows-wanted signal through the
+// executor: over formclient.Local, a caller that wants overflow rows gets
+// them, and a plain caller's overflow answer comes back row-less.
+func TestWantedRowsReachTheConnector(t *testing.T) {
 	db := testDB(t, 500)
-	inner := &rowsConn{Local: formclient.NewLocal(db), entered: make(chan bool, 4), release: make(chan struct{})}
-	x := New(inner, Options{})
+	x := New(formclient.NewLocal(db), Options{})
 	q := hiddendb.EmptyQuery()
 	ctx := context.Background()
-
-	type answer struct {
-		res *hiddendb.Result
-		err error
+	if res, err := x.Execute(formclient.WantRows(ctx), q); err != nil || !res.Overflow || len(res.Tuples) != db.K() {
+		t.Fatalf("rows-wanting caller: %+v %v, want an overflow with its %d rows", res, err, db.K())
 	}
-	run := func(ctx context.Context) <-chan answer {
-		ch := make(chan answer, 1)
-		go func() {
-			res, err := x.Execute(ctx, q)
-			ch <- answer{res, err}
-		}()
-		return ch
+	if res, err := x.Execute(ctx, q); err != nil || !res.Overflow || len(res.Tuples) != 0 {
+		t.Fatalf("plain caller: %+v %v, want a row-less overflow", res, err)
 	}
-	leader := run(ctx)
-	if wanted := <-inner.entered; wanted {
-		t.Fatal("leader arrived wanting rows")
-	}
-	follower := run(formclient.WantRows(ctx))
-	select {
-	case wanted := <-inner.entered:
-		if !wanted {
-			t.Fatal("second wire call did not want rows")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the rows-wanting caller joined the row-less flight")
-	}
-	close(inner.release)
-	if a := <-leader; a.err != nil || !a.res.Overflow || len(a.res.Tuples) != 0 {
-		t.Fatalf("leader: %+v %v, want a row-less overflow", a.res, a.err)
-	}
-	if a := <-follower; a.err != nil || !a.res.Overflow || len(a.res.Tuples) == 0 {
-		t.Fatalf("rows-wanting caller: %+v %v, want the overflow rows", a.res, a.err)
-	}
-	if st := x.ExecStats(); st.WireCalls != 2 || st.Coalesced != 0 {
-		t.Fatalf("wire calls %d, coalesced %d; want 2 and 0", st.WireCalls, st.Coalesced)
+	if st := x.ExecStats(); st.Queries != 2 || st.WireCalls != 2 {
+		t.Fatalf("stats = %+v, want 2 queries and 2 wire calls", st)
 	}
 }

@@ -14,12 +14,6 @@ type LimiterOptions struct {
 	// 0 disables concurrency limiting (the limiter still meters rate and
 	// tracks in-flight counts).
 	MaxInFlight int
-	// MinInFlight is the window floor multiplicative decrease cannot cross
-	// (default 1).
-	MinInFlight int
-	// Backoff is the multiplicative-decrease factor applied to the window
-	// on rate-limit pushback (default 0.5).
-	Backoff float64
 	// RatePerSec caps the aggregate wire request rate of every goroutine
 	// sharing the limiter — the per-host politeness budget. Unlike a
 	// per-goroutine delay, the cap bounds the sum: N workers together
@@ -32,6 +26,13 @@ type LimiterOptions struct {
 	Now   func() time.Time
 	Sleep func(ctx context.Context, d time.Duration) error
 }
+
+// The AIMD window's multiplicative decrease: on rate-limit pushback the
+// window halves, but never below one request in flight.
+const (
+	backoff     = 0.5
+	minInFlight = 1
+)
 
 // Limiter is the shared per-host admission controller of the execution
 // layer: an AIMD concurrency window (additive increase per clean request,
@@ -56,12 +57,6 @@ type Limiter struct {
 // NewLimiter builds a limiter; see LimiterOptions for the knobs. The AIMD
 // window starts at the ceiling and backs off on pushback.
 func NewLimiter(opts LimiterOptions) *Limiter {
-	if opts.MinInFlight <= 0 {
-		opts.MinInFlight = 1
-	}
-	if opts.Backoff <= 0 || opts.Backoff >= 1 {
-		opts.Backoff = 0.5
-	}
 	if opts.Burst <= 0 {
 		opts.Burst = 10
 	}
@@ -171,9 +166,9 @@ func (l *Limiter) Release(ok bool) {
 				l.limit = float64(l.opts.MaxInFlight)
 			}
 		} else {
-			l.limit *= l.opts.Backoff
-			if l.limit < float64(l.opts.MinInFlight) {
-				l.limit = float64(l.opts.MinInFlight)
+			l.limit *= backoff
+			if l.limit < minInFlight {
+				l.limit = minInFlight
 			}
 			l.backoffs.Add(1)
 		}

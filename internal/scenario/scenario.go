@@ -132,7 +132,6 @@ type CellResult struct {
 	// Query-cost accounting for the cell.
 	Queries          int64   `json:"queries"`
 	QueriesSaved     int64   `json:"queries_saved"`
-	QueriesCoalesced int64   `json:"queries_coalesced"`
 	QueriesRetried   int64   `json:"queries_retried"`
 	QueriesPerSample float64 `json:"queries_per_sample"`
 
@@ -347,7 +346,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 	}
 	cell.Queries = stats.Queries
 	cell.QueriesSaved = stats.QueriesSaved
-	cell.QueriesCoalesced = stats.QueriesCoalesced
 	cell.QueriesRetried = stats.QueriesRetried
 	if len(tuples) > 0 {
 		cell.QueriesPerSample = float64(stats.Queries) / float64(len(tuples))

@@ -41,17 +41,14 @@ func (o CacheOutcome) String() string {
 type ExecOutcome uint8
 
 const (
-	ExecNone      ExecOutcome = iota // no execution layer, or not recorded
-	ExecWire                         // a wire call of its own
-	ExecCoalesced                    // rode an identical in-flight call
+	ExecNone ExecOutcome = iota // no execution layer, or not recorded
+	ExecWire                    // sent on the wire
 )
 
 func (o ExecOutcome) String() string {
 	switch o {
 	case ExecWire:
 		return "wire"
-	case ExecCoalesced:
-		return "coalesced"
 	default:
 		return "none"
 	}

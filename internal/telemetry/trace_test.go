@@ -145,7 +145,7 @@ func TestWalkTraceLevels(t *testing.T) {
 	w.MarkCache(CacheInferSibling, 0)
 	w.EndLevel(LevelValid, time.Microsecond)
 	// Marks outside an open level are dropped, not misfiled.
-	w.MarkExec(ExecCoalesced)
+	w.MarkExec(ExecWire)
 	w.Decide(true)
 
 	views := tr.Dump()
@@ -216,7 +216,7 @@ func TestFinishIdempotent(t *testing.T) {
 
 func TestOutcomeStrings(t *testing.T) {
 	if CacheNone.String() != "none" || CacheInferEmpty.String() != "infer-empty" ||
-		ExecCoalesced.String() != "coalesced" || LevelEmpty.String() != "empty" ||
+		ExecWire.String() != "wire" || ExecNone.String() != "none" || LevelEmpty.String() != "empty" ||
 		LevelUnknown.String() != "unknown" {
 		t.Fatal("outcome strings drifted")
 	}

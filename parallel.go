@@ -147,9 +147,9 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 }
 
 // Progress returns a live statistics snapshot; safe to call from any
-// goroutine while Draw runs, and after it returns. The stack's savings
-// (QueriesSaved, QueriesCoalesced, QueriesRetried) are the Stack's to
-// report, so they stay zero here.
+// goroutine while Draw runs, and after it returns. The stack's counters
+// (QueriesSaved, QueriesRetried) are the Stack's to report, so they stay
+// zero here.
 func (rs *ReplicaSet) Progress() Stats {
 	rs.mu.Lock()
 	elapsed := rs.elapsed

@@ -148,9 +148,8 @@ func TestReplicaSetElapsedFreezesAtCompletion(t *testing.T) {
 
 // TestDrawParallelBillsEveryQuery: every query a replica issues belongs
 // to a candidate the draw processed, so without a history cache the bill
-// equals the interface's own count plus the queries the execution layer
-// coalesced. A replica that drew ahead of its acceptor would issue
-// queries for candidates nobody bills.
+// equals the interface's own count. A replica that drew ahead of its
+// acceptor would issue queries for candidates nobody bills.
 func TestDrawParallelBillsEveryQuery(t *testing.T) {
 	db, _ := localVehicles(t, 20000, 100, hiddendb.CountNone)
 	ctx := context.Background()
@@ -162,9 +161,9 @@ func TestDrawParallelBillsEveryQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if issued := local.Stats().Queries; issued+stats.QueriesCoalesced != stats.Queries {
-				t.Errorf("workers %d, seed %d: local served %d + coalesced %d, billed %d",
-					workers, seed, issued, stats.QueriesCoalesced, stats.Queries)
+			if issued := local.Stats().Queries; issued != stats.Queries {
+				t.Errorf("workers %d, seed %d: local served %d, billed %d",
+					workers, seed, issued, stats.Queries)
 			}
 		}
 	}

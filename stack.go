@@ -14,7 +14,7 @@ import (
 // New, DrawParallel, the jobsvc daemon and the web UI all draw through a
 // Stack. Its layers are safe for concurrent use, so any number of
 // ReplicaSets may share one Stack's Conn, its cache's answers and its
-// executor's in-flight queries.
+// executor's admission controller.
 type Stack struct {
 	conn  Conn // the top layer: the cache when present, else the executor
 	exec  *queryexec.Executor
@@ -49,15 +49,13 @@ func (st *Stack) Conn() Conn { return st.conn }
 // history.
 func (st *Stack) Cache() *history.Cache { return st.cache }
 
-// ExecStats returns the execution layer's coalescing, wire and retry
-// counters.
+// ExecStats returns the execution layer's query, wire and retry counters.
 func (st *Stack) ExecStats() ExecStats { return st.exec.ExecStats() }
 
 // mark reads the stack's cumulative savings into the Stats fields that
 // report them.
 func (st *Stack) mark() Stats {
-	xs := st.exec.ExecStats()
-	m := Stats{QueriesCoalesced: xs.Coalesced, QueriesRetried: xs.TransientRetries}
+	m := Stats{QueriesRetried: st.exec.ExecStats().TransientRetries}
 	if st.cache != nil {
 		m.QueriesSaved = st.cache.CacheStats().Saved()
 	}
@@ -68,6 +66,5 @@ func (st *Stack) mark() Stats {
 func (st *Stack) fill(s *Stats, m Stats) {
 	now := st.mark()
 	s.QueriesSaved = now.QueriesSaved - m.QueriesSaved
-	s.QueriesCoalesced = now.QueriesCoalesced - m.QueriesCoalesced
 	s.QueriesRetried = now.QueriesRetried - m.QueriesRetried
 }

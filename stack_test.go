@@ -19,11 +19,11 @@ import (
 // over an interface that returns every answer's rows (fullRows), and New
 // and DrawParallel with one worker under every stack configuration over
 // formclient.Local, which omits the rows no walk asked for, accept the
-// same tuples in the same order:
-// history answers, coalescing, admission control and absorbed transient
-// faults change which queries reach the interface, never what the walk
-// sees. So does a history cache capped so small that most stores evict,
-// drawn by a one-replica ReplicaSet over NewStack as jobsvc draws. The
+// same tuples in the same order: history answers, admission control and
+// absorbed transient faults change which queries reach the interface,
+// never what the walk sees. So does a history cache capped so small that
+// most stores evict, drawn by a one-replica ReplicaSet over NewStack as
+// jobsvc draws. The
 // attribute-scoped leg walks two attributes only, so most walks end on an
 // overflowing last level and pick among that answer's rows — rows the
 // history cache must keep because the walk asked for them, and fetch again

@@ -17,8 +17,10 @@
 //	curl localhost:8099/metrics
 //	curl localhost:8099/debug/walks
 //
-// SIGINT/SIGTERM shut the daemon down gracefully: workers drain and
-// partial sample sets are persisted.
+// Each request to a target is retried on 429, 5xx and timeout answers
+// within one budget of five attempts (formclient.MaxAttempts); a fault
+// past it fails the job. SIGINT/SIGTERM shut the daemon down gracefully:
+// workers drain and partial sample sets are persisted.
 package main
 
 import (
@@ -30,11 +32,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"hdsampler/internal/faultform"
 	"hdsampler/internal/jobsvc"
 	"hdsampler/internal/pprofserve"
 	"hdsampler/internal/telemetry"
@@ -65,8 +65,6 @@ func main() {
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory: admissions fsynced before ack, progress checkpointed, interrupted jobs requeued on restart (empty = no durability)")
 		ckptEvery    = flag.Duration("checkpoint-every", 2*time.Second, "mid-run progress checkpoint interval for journaled jobs (negative = admission/terminal records only)")
 		compactEvery = flag.Int("journal-compact-every", 0, "journal records between snapshot+truncate compactions (0 = default 4096)")
-		faultProf    = flag.String("fault-profile", "none", "chaos mode: wrap every target connector in this faultform preset ("+strings.Join(faultform.PresetNames(), "|")+")")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for reproducible fault injection")
 		drain        = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		pprofAddr    = flag.String("pprof", "", "listen address for net/http/pprof profiling, e.g. localhost:6060 (empty = disabled)")
 		traceRate    = flag.Float64("trace-rate", 0.01, "fraction of candidate draws traced end-to-end on /debug/walks (0 = off, 1 = every walk)")
@@ -84,10 +82,6 @@ func main() {
 	}
 	slog.SetDefault(base)
 	lg := base.With("component", "hdsamplerd")
-	if _, ok := faultform.Preset(*faultProf); !ok {
-		lg.Error("unknown -fault-profile", "profile", *faultProf, "known", fmt.Sprint(faultform.PresetNames()))
-		os.Exit(2)
-	}
 	pprofserve.Start("hdsamplerd", *pprofAddr)
 
 	mgr, srv := newDaemon(*addr, jobsvc.Config{
@@ -101,8 +95,6 @@ func main() {
 		JournalDir:          *journalDir,
 		CheckpointEvery:     *ckptEvery,
 		JournalCompactEvery: *compactEvery,
-		FaultProfile:        *faultProf,
-		FaultSeed:           *faultSeed,
 		TraceSampleRate:     *traceRate,
 		TraceCapacity:       *traceBuffer,
 		SlowWalk:            *slowWalk,

@@ -27,12 +27,13 @@
 //   - internal/webform — an HTTP server exposing a database behind an HTML
 //     form interface (the Google Base stand-in)
 //   - internal/htmlx, internal/formclient — HTML scraping and the Local /
-//     HTTP / API connectors
+//     HTTP / API connectors; HTTP and API retry each request's 429s, 5xx
+//     answers and timeouts within one budget of formclient.MaxAttempts,
+//     the query path's only retry loop
 //   - internal/history — query memoization and inference
 //   - internal/queryexec — the query-execution layer every sampler routes
 //     through: an AIMD adaptive concurrency limiter with an aggregate
-//     per-host rate budget, and bounded transient retry (Config.Exec
-//     tunes it)
+//     per-host rate budget (Config.Exec tunes it)
 //   - internal/core — the samplers, rejection, and Draw: the one draw
 //     loop, with live counters and cancellation as its kill switch
 //   - internal/jobsvc — the sampling job-orchestration service behind

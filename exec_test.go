@@ -2,6 +2,7 @@ package hdsampler
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/queryexec"
@@ -159,52 +161,99 @@ func TestSliderZeroExplicit(t *testing.T) {
 }
 
 // TestSingleSamplerTransientRetryKnob pins that a lone Sampler draws
-// through the execution layer and its TransientRetries budget: a one-blip
-// interface must cost a retry, not the draw.
+// through a connector that retries its own blips: over faultform's
+// emulation of formclient.HTTP's retry loop, every sample arrives, and
+// QueriesRetried counts exactly the blips the site served.
 func TestSingleSamplerTransientRetryKnob(t *testing.T) {
 	ds := datagen.IIDBoolean(5, 200, 0.5, 9)
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := &oneBlipConn{inner: formclient.NewLocal(db)}
-	s, err := New(context.Background(), conn, Config{Seed: 4, Exec: ExecConfig{TransientRetries: 2}})
+	conn := faultform.Wrap(formclient.NewLocal(db), faultform.Profile{TransientProb: 0.3}, 4)
+	s, err := New(context.Background(), conn, Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tuples, stats, err := s.Draw(context.Background(), 10)
 	if err != nil {
-		t.Fatalf("Draw through a transient blip: %v", err)
+		t.Fatalf("Draw through transient blips: %v", err)
 	}
 	if len(tuples) != 10 {
 		t.Fatalf("drew %d of 10 samples", len(tuples))
 	}
-	if xs := s.ExecStats(); xs.TransientRetries != 1 {
-		t.Fatalf("TransientRetries = %d, want 1", xs.TransientRetries)
+	blips := conn.FaultStats().Transients
+	if blips == 0 {
+		t.Fatal("the site never blipped")
 	}
-	if stats.QueriesRetried != 1 {
-		t.Fatalf("Draw stats QueriesRetried = %d, want 1", stats.QueriesRetried)
-	}
-	if !conn.blipped.Load() {
-		t.Fatal("test conn never blipped")
+	if stats.QueriesRetried != blips {
+		t.Fatalf("Draw stats QueriesRetried = %d, want the %d blips served", stats.QueriesRetried, blips)
 	}
 }
 
-// oneBlipConn fails exactly one Execute with a transient fault.
-type oneBlipConn struct {
-	inner   formclient.Conn
-	blipped atomic.Bool
-}
-
-func (c *oneBlipConn) Schema(ctx context.Context) (*hiddendb.Schema, error) {
-	return c.inner.Schema(ctx)
-}
-
-func (c *oneBlipConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
-	if c.blipped.CompareAndSwap(false, true) {
-		return nil, formclient.ErrTransient
+// TestDrawParallelRetriesArePerCall: the retry counter lives in the
+// caller's connector, so each DrawParallel over one conn must report the
+// retries of its own draw only.
+func TestDrawParallelRetriesArePerCall(t *testing.T) {
+	_, local := localVehicles(t, 3000, 100, hiddendb.CountNone)
+	conn := faultform.Wrap(local, faultform.Profile{TransientProb: 0.2}, 8)
+	ctx := context.Background()
+	var before int64
+	for seed := int64(1); seed <= 2; seed++ {
+		_, stats, err := DrawParallel(ctx, conn, Config{Seed: seed, ShuffleOrder: true}, 40, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blips := conn.FaultStats().Transients - before
+		before += blips
+		if blips == 0 {
+			t.Fatalf("call %d: the site never blipped", seed)
+		}
+		if stats.QueriesRetried != blips {
+			t.Fatalf("call %d: QueriesRetried = %d, want its own %d blips", seed, stats.QueriesRetried, blips)
+		}
 	}
-	return c.inner.Execute(ctx, q)
 }
 
-func (c *oneBlipConn) Stats() formclient.Stats { return c.inner.Stats() }
+// TestPersistent503CostsOneBudget: against a site whose search endpoint
+// always answers 503, one query through the default stack costs one
+// budget of formclient.MaxAttempts requests and one wire call of the
+// execution layer, then surfaces ErrTransient — over both connectors.
+func TestPersistent503CostsOneBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dial func(string) Conn
+	}{{"html", Dial}, {"api", DialAPI}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ds := datagen.Vehicles(200, 3)
+			db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			site := webform.NewServer(db, webform.Options{})
+			var searches atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/search" || r.URL.Path == "/api/search" {
+					searches.Add(1)
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				site.ServeHTTP(w, r)
+			}))
+			t.Cleanup(srv.Close)
+
+			st := NewStack(tc.dial(srv.URL), queryexec.Options{}, nil)
+			_, err = st.Conn().Execute(context.Background(), hiddendb.EmptyQuery())
+			if !errors.Is(err, formclient.ErrTransient) {
+				t.Fatalf("err = %v, want ErrTransient", err)
+			}
+			if got := searches.Load(); got != formclient.MaxAttempts {
+				t.Fatalf("site saw %d search requests, want %d", got, formclient.MaxAttempts)
+			}
+			if got := st.ExecStats().WireCalls; got != 1 {
+				t.Fatalf("execution layer counted %d wire calls, want 1", got)
+			}
+		})
+	}
+}

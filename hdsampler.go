@@ -34,8 +34,8 @@ type (
 	Estimate = estimate.Estimate
 	// Marginal is a sampled attribute histogram.
 	Marginal = estimate.Marginal
-	// ExecStats counts the query-execution layer's queries, wire calls
-	// and retries.
+	// ExecStats counts the query-execution layer's queries and wire
+	// calls.
 	ExecStats = queryexec.Stats
 )
 
@@ -70,7 +70,8 @@ func (m Method) String() string {
 
 // ExecConfig tunes the query-execution layer (internal/queryexec) every
 // sampler draws through: AIMD-adaptive concurrency limiting shared by
-// every replica on the connector, and bounded transient retry.
+// every replica on the connector. Retries are the connector's own, within
+// formclient.MaxAttempts per request.
 type ExecConfig struct {
 	// MaxInFlight caps concurrent wire requests across all replicas: the
 	// AIMD ceiling, additively raised on clean responses and
@@ -83,17 +84,12 @@ type ExecConfig struct {
 	RatePerSec float64
 	// Burst is the rate cap's token bucket capacity (default 10).
 	Burst int
-	// TransientRetries bounds the execution layer's retries of wire
-	// executions failing with transient interface faults (5xx blips,
-	// timeouts) before the error reaches the sampler. Default 2; negative
-	// disables retrying.
-	TransientRetries int
 }
 
 // options converts the knobs to the layer's options. The admission
 // controller exists only when a concurrency or rate cap is set.
 func (e ExecConfig) options() queryexec.Options {
-	o := queryexec.Options{TransientRetries: e.TransientRetries}
+	var o queryexec.Options
 	if e.MaxInFlight > 0 || e.RatePerSec > 0 {
 		o.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
 			MaxInFlight: e.MaxInFlight,
@@ -139,13 +135,6 @@ type Config struct {
 	// UseParentCount enables the count-weighted walker's sibling
 	// inference; meaningful only with MethodCountWeighted + exact counts.
 	UseParentCount bool
-	// AdaptiveQuantile, when in (0,1], replaces the fixed C with an
-	// adaptive rejector: a warmup phase observes candidate reaches and
-	// freezes C at this quantile, so no knowledge of the reach
-	// distribution is needed. Overrides Slider and C.
-	AdaptiveQuantile float64
-	// AdaptiveWarmup is the calibration candidate count (default 100).
-	AdaptiveWarmup int
 	// Exec tunes the query-execution layer, which New and DrawParallel
 	// always place below the history cache.
 	Exec ExecConfig
@@ -168,9 +157,12 @@ type Stats struct {
 	// instead.
 	Queries      int64
 	QueriesSaved int64
-	// QueriesRetried counts wire executions the execution layer repeated
-	// after transient interface faults — misbehaviour absorbed before it
-	// could kill a walk.
+	// QueriesRetried counts requests the connector repeated after
+	// transient interface faults (5xx blips, timeouts) during the call —
+	// misbehaviour absorbed before it could kill a walk. It is read from
+	// the connector's Stats().TransientRetries, so it includes the
+	// retries of any other caller drawing through the same connector at
+	// the same time.
 	QueriesRetried int64
 	Elapsed        time.Duration
 }
@@ -236,14 +228,9 @@ func newReplica(ctx context.Context, conn Conn, cfg Config) (replica, error) {
 	if err != nil {
 		return r, err
 	}
-	// Brute force is already uniform: no rejection. Otherwise use the
-	// adaptive rejector when requested, else derive C from the explicit
-	// value or the slider.
+	// Brute force is already uniform: no rejection. Otherwise derive C
+	// from the explicit value or the slider.
 	if cfg.Method != MethodBruteForce {
-		if cfg.AdaptiveQuantile > 0 {
-			r.rej = core.NewAdaptiveRejector(cfg.AdaptiveQuantile, cfg.AdaptiveWarmup, cfg.Seed+1)
-			return r, nil
-		}
 		c := cfg.C
 		if c <= 0 {
 			k := cfg.K
@@ -269,17 +256,12 @@ func newReplica(ctx context.Context, conn Conn, cfg Config) (replica, error) {
 // Schema returns the target database's discovered schema.
 func (r replica) Schema() *Schema { return r.schema }
 
-// C returns the effective rejection target: 1 when accepting everything,
-// 0 while an adaptive rejector is still calibrating.
+// C returns the effective rejection target: 1 when accepting everything.
 func (r replica) C() float64 {
-	switch rej := r.rej.(type) {
-	case *core.Rejector:
+	if rej, ok := r.rej.(*core.Rejector); ok {
 		return rej.C
-	case *core.AdaptiveRejector:
-		return rej.C()
-	default:
-		return 1
 	}
+	return 1
 }
 
 // Draw synchronously collects n accepted samples. Stats are per-call

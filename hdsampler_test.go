@@ -247,32 +247,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestAdaptiveQuantileFacade(t *testing.T) {
-	db, conn := localVehicles(t, 3000, 500, hiddendb.CountNone)
-	ctx := context.Background()
-	s, err := New(ctx, conn, Config{Seed: 21, AdaptiveQuantile: 0.5, AdaptiveWarmup: 50, K: db.K()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.C() != 0 {
-		t.Fatalf("C before calibration = %g, want 0", s.C())
-	}
-	tuples, stats, err := s.Draw(ctx, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 60 {
-		t.Fatalf("drew %d", len(tuples))
-	}
-	if s.C() <= 0 || s.C() > 1 {
-		t.Fatalf("calibrated C = %g", s.C())
-	}
-	// Warmup candidates count as rejections.
-	if stats.Rejected < 50 {
-		t.Fatalf("rejected = %d, want >= warmup", stats.Rejected)
-	}
-}
-
 func TestExplicitCOverridesSlider(t *testing.T) {
 	_, conn := localVehicles(t, 300, 100, hiddendb.CountNone)
 	ctx := context.Background()

@@ -9,6 +9,15 @@ import (
 	"hdsampler/internal/hiddendb"
 )
 
+// Acceptor decides candidates' fates in the Sample Processor stage. A nil
+// Acceptor accepts everything.
+type Acceptor interface {
+	// Accept returns whether the candidate joins the final sample.
+	Accept(c *Candidate) bool
+}
+
+var _ Acceptor = (*Rejector)(nil)
+
 // Rejector is the Sample Processor of the demo's architecture: it applies
 // acceptance/rejection to candidate samples so that every tuple's final
 // selection probability is min(reach, C). C — the target reach

@@ -45,48 +45,3 @@ func TestRejectorSharedAcrossGoroutines(t *testing.T) {
 		t.Fatalf("rejected %d of %d: acceptance logic drifted under concurrency", rej, workers*each)
 	}
 }
-
-// Same contract for the adaptive variant: calibration and the frozen
-// phase both run concurrently.
-func TestAdaptiveRejectorSharedAcrossGoroutines(t *testing.T) {
-	r := NewAdaptiveRejector(0.5, 64, 2)
-	const (
-		workers = 8
-		each    = 1000
-	)
-	var accepted, rejected int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var acc, rej int64
-			for i := 0; i < each; i++ {
-				reach := float64(i%100+1) / 100
-				if r.Accept(&Candidate{Reach: reach}) {
-					acc++
-				} else {
-					rej++
-				}
-			}
-			mu.Lock()
-			accepted += acc
-			rejected += rej
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if accepted+rejected != workers*each {
-		t.Fatalf("accounted %d candidates, want %d", accepted+rejected, workers*each)
-	}
-	if r.Calibrating() {
-		t.Fatal("warmup of 64 never completed over 8000 candidates")
-	}
-	if c := r.C(); c <= 0 || c > 1 {
-		t.Fatalf("frozen C = %g out of range", c)
-	}
-	if accepted == 0 {
-		t.Fatal("no candidate accepted after calibration")
-	}
-}

@@ -10,9 +10,12 @@
 //
 //	sampler → history.Cache → queryexec.Executor → faultform → formclient.Local
 //
-// which makes queryexec's AIMD limiter and transient-retry paths, and the
-// samplers' liveness properties, testable without a flaky network. 429 bursts are emulated the way formclient.HTTP experiences
-// them (internal client retries surfacing as a RateLimitRetries advance,
-// ErrRateLimited past the budget); transient blips surface as
-// formclient.ErrTransient for the layer above to retry.
+// which makes queryexec's AIMD limiter, the connector's retry loop, and
+// the samplers' liveness properties testable without a flaky network.
+// 429 bursts and transient blips play out the way formclient.HTTP
+// experiences them: inside one emulated retry loop of
+// formclient.MaxAttempts attempts per execution, 429s first, each retry
+// surfacing as a RateLimitRetries or TransientRetries advance, and
+// ErrRateLimited or ErrTransient past the budget. Its one user is the
+// scenario matrix's fault axis.
 package faultform

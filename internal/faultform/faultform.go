@@ -9,6 +9,7 @@ import (
 
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/telemetry"
 )
 
 // Profile configures one adversarial interface persona. The zero Profile
@@ -19,16 +20,19 @@ type Profile struct {
 
 	// RateLimitProb is the probability a query is 429-hit: its first
 	// RateLimitBurst wire attempts (default 2) answer 429 before the site
-	// calms down for that query. Bursts shorter than MaxRetries (default
-	// 5, formclient.HTTP's budget) are absorbed by the emulated client
-	// retry loop — visible to the AIMD limiter as a retry-counter advance;
-	// longer bursts surface formclient.ErrRateLimited.
+	// calms down for that query. TransientProb is the probability a query
+	// blips: once its 429s are spent, its next TransientBurst attempts
+	// (default 1) fail with a 5xx or a timeout.
+	//
+	// Both bursts play out inside the emulated formclient.HTTP retry
+	// loop: one budget of formclient.MaxAttempts attempts per execution,
+	// 429s first. A retried 429 advances Stats().RateLimitRetries, the
+	// counter the AIMD limiter watches, and a retried blip advances
+	// Stats().TransientRetries. Faults past the budget surface as
+	// formclient.ErrRateLimited or formclient.ErrTransient; the burst
+	// left over is served to the query's next execution.
 	RateLimitProb  float64
 	RateLimitBurst int
-
-	// TransientProb is the probability a query blips: its first
-	// TransientBurst attempts (default 1) fail with formclient.ErrTransient
-	// — a 5xx or timeout the layer above must retry.
 	TransientProb  float64
 	TransientBurst int
 
@@ -48,16 +52,13 @@ type Profile struct {
 	// off. Counts already absent stay absent.
 	CountRoundTo int
 
-	// SlowStartCalls delays each of the first N wire interactions by
+	// SlowStartCalls delays each of the first N executions by
 	// SlowStartLatency — a cold site warming up. Latency, when set, delays
-	// every wire interaction.
+	// every execution. The emulated retries within one execution are not
+	// delayed again.
 	SlowStartCalls   int
 	SlowStartLatency time.Duration
 	Latency          time.Duration
-
-	// MaxRetries is the emulated client's 429 retry budget per logical
-	// execution (default 5, mirroring formclient.HTTPOptions).
-	MaxRetries int
 }
 
 // Active reports whether the profile injects anything at all.
@@ -66,15 +67,15 @@ func (p Profile) Active() bool {
 		p.Reorder || p.CountRoundTo > 1 || p.SlowStartCalls > 0 || p.Latency > 0
 }
 
-// Presets returns the named fault profiles the scenario matrix and the
-// daemon's -fault-profile flag accept, "none" first.
+// Presets returns the named fault profiles of the scenario matrix's fault
+// axis, "none" first.
 func Presets() []Profile {
 	return []Profile{
 		{Name: "none"},
 		{
 			// Availability faults only: the interface answers correctly but
-			// rudely. Exercises AIMD backoff, client 429 retries and the
-			// execution layer's transient retry without touching content.
+			// rudely. Exercises AIMD backoff and the client's retry of 429s
+			// and blips without touching content.
 			Name:          "flaky",
 			RateLimitProb: 0.05, RateLimitBurst: 2,
 			TransientProb: 0.04, TransientBurst: 1,
@@ -88,7 +89,8 @@ func Presets() []Profile {
 			Reorder:    true, CountRoundTo: 10,
 		},
 		{
-			// Everything at once, plus a cold start.
+			// Everything at once, plus a cold start. A query hit by both
+			// bursts spends 2 + 2 of the client's 5 attempts.
 			Name:          "hostile",
 			RateLimitProb: 0.08, RateLimitBurst: 2,
 			TransientProb: 0.06, TransientBurst: 2,
@@ -109,31 +111,21 @@ func Preset(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// PresetNames lists the accepted profile names in order.
-func PresetNames() []string {
-	ps := Presets()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // Stats counts the faults injected so far.
 type Stats struct {
 	// RateLimited is the number of simulated 429 responses; Exhausted429s
 	// counts logical executions that ran out of the emulated retry budget
-	// (and surfaced ErrRateLimited).
+	// on a 429 (and surfaced ErrRateLimited).
 	RateLimited   int64 `json:"rate_limited"`
 	Exhausted429s int64 `json:"exhausted_429s"`
-	// Transients is the number of injected blips (ErrTransient returns).
+	// Transients is the number of injected blips, retried or surfaced.
 	Transients int64 `json:"transients"`
 	// Jittered counts results whose visible rows were trimmed, Reordered
 	// those shuffled, RoundedCounts those whose count was coarsened.
 	Jittered      int64 `json:"jittered"`
 	Reordered     int64 `json:"reordered"`
 	RoundedCounts int64 `json:"rounded_counts"`
-	// SlowCalls counts wire interactions delayed by slow-start or latency.
+	// SlowCalls counts executions delayed by slow-start or latency.
 	SlowCalls int64 `json:"slow_calls"`
 }
 
@@ -151,9 +143,6 @@ func Wrap(inner formclient.Conn, p Profile, seed int64) *Conn {
 	}
 	if p.TransientBurst <= 0 {
 		p.TransientBurst = 1
-	}
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 5
 	}
 	return &Conn{
 		inner:   inner,
@@ -175,8 +164,9 @@ type Conn struct {
 	mu  sync.Mutex
 	att map[uint64]*attemptState // per query-signature fault consumption
 
-	wireCalls  atomic.Int64
-	simRetries atomic.Int64 // emulated client 429 retries, surfaced in Stats()
+	wireCalls     atomic.Int64
+	simRetries    atomic.Int64 // emulated client 429 retries, surfaced in Stats()
+	simTransients atomic.Int64 // emulated client blip retries, surfaced in Stats()
 
 	sRateLimited atomic.Int64
 	sExhausted   atomic.Int64
@@ -194,9 +184,9 @@ type attemptState struct {
 	rl, tr int
 }
 
-// maxAttemptEntries bounds the fault-consumption map: a long-running
-// chaos deployment (hdsamplerd -fault-profile) must not grow memory with
-// every distinct query it ever faulted.
+// maxAttemptEntries bounds the fault-consumption map: one wrapper may
+// serve a long draw, and its memory must not grow with every distinct
+// query it ever faulted.
 const maxAttemptEntries = 1 << 16
 
 // state returns (creating) the attempt state for a query signature; the
@@ -222,11 +212,12 @@ func (c *Conn) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 }
 
 // Stats implements formclient.Conn: the inner connector's traffic plus
-// the emulated client-side 429 retries, so the AIMD limiter above sees
-// injected congestion exactly as it would see the real thing.
+// the emulated client-side retries, so the layers above see injected
+// congestion and flakiness exactly as they would see the real thing.
 func (c *Conn) Stats() formclient.Stats {
 	s := c.inner.Stats()
 	s.RateLimitRetries += c.simRetries.Load()
+	s.TransientRetries += c.simTransients.Load()
 	return s
 }
 
@@ -243,9 +234,6 @@ func (c *Conn) FaultStats() Stats {
 	}
 }
 
-// FaultProfile returns the active profile.
-func (c *Conn) FaultProfile() Profile { return c.profile }
-
 // Execute implements formclient.Conn.
 func (c *Conn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	if err := c.preflight(ctx, q.Hash(), q.Key()); err != nil {
@@ -259,8 +247,9 @@ func (c *Conn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 }
 
 // preflight emulates the wire-level fault sequence of one logical
-// execution identified by a signature hash: latency, the client-retried
-// 429 burst, then a transient blip.
+// execution identified by a signature hash: latency, then
+// formclient.HTTP's retry loop over the query's 429 burst and then its
+// blips, within one budget of formclient.MaxAttempts attempts.
 func (c *Conn) preflight(ctx context.Context, hash uint64, key string) error {
 	n := c.wireCalls.Add(1)
 	if c.profile.SlowStartCalls > 0 && n <= int64(c.profile.SlowStartCalls) {
@@ -275,61 +264,61 @@ func (c *Conn) preflight(ctx context.Context, hash uint64, key string) error {
 			return err
 		}
 	}
-	if err := c.sim429(ctx, hash, key); err != nil {
-		return err
-	}
-	return c.simTransient(hash, key)
-}
-
-// sim429 plays out the emulated HTTP client's 429 retry loop for a
-// rate-limit-hit query: each simulated 429 either becomes an internal
-// retry (advancing the retry counter the AIMD limiter watches) or, past
-// the budget, ErrRateLimited.
-func (c *Conn) sim429(ctx context.Context, hash uint64, key string) error {
-	if c.profile.RateLimitProb <= 0 || !c.hit(hash, saltRateLimit, c.profile.RateLimitProb) {
+	rl := c.profile.RateLimitProb > 0 && c.hit(hash, saltRateLimit, c.profile.RateLimitProb)
+	tr := c.profile.TransientProb > 0 && c.hit(hash, saltTransient, c.profile.TransientProb)
+	if !rl && !tr {
 		return nil
 	}
-	for attempt := 0; attempt < c.profile.MaxRetries; attempt++ {
-		c.mu.Lock()
-		a := c.stateLocked(hash)
-		hit := a.rl < c.profile.RateLimitBurst
-		if hit {
-			a.rl++
+	for attempt := 1; ; attempt++ {
+		switch c.nextFault(hash, rl, tr) {
+		case faultNone:
+			return nil // the bursts are spent; the site lets this one through
+		case fault429:
+			c.sRateLimited.Add(1)
+			if attempt == formclient.MaxAttempts {
+				c.sExhausted.Add(1)
+				return fmt.Errorf("%w: faultform: %q kept answering 429", formclient.ErrRateLimited, key)
+			}
+			c.simRetries.Add(1)
+		case faultBlip:
+			c.sTransients.Add(1)
+			if attempt == formclient.MaxAttempts {
+				return fmt.Errorf("%w: faultform: %q kept blipping", formclient.ErrTransient, key)
+			}
+			c.simTransients.Add(1)
+			if t := telemetry.TraceFrom(ctx); t != nil {
+				t.AddRetry()
+			}
 		}
-		c.mu.Unlock()
-		if !hit {
-			return nil // the burst is spent; the site lets this one through
-		}
-		c.sRateLimited.Add(1)
-		if attempt == c.profile.MaxRetries-1 {
-			break
-		}
-		c.simRetries.Add(1)
 		if err := c.sleep(ctx, 50*time.Microsecond); err != nil {
 			return err
 		}
 	}
-	c.sExhausted.Add(1)
-	return fmt.Errorf("%w: faultform: %q kept answering 429", formclient.ErrRateLimited, key)
 }
 
-// simTransient injects one blip while the query's transient burst lasts.
-func (c *Conn) simTransient(hash uint64, key string) error {
-	if c.profile.TransientProb <= 0 || !c.hit(hash, saltTransient, c.profile.TransientProb) {
-		return nil
-	}
+// The faults one attempt of an execution can draw.
+const (
+	faultNone = iota
+	fault429
+	faultBlip
+)
+
+// nextFault consumes the query's next wire fault in the order the site
+// serves them: what is left of its 429 burst (when rl), then of its blip
+// burst (when tr).
+func (c *Conn) nextFault(hash uint64, rl, tr bool) int {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	a := c.stateLocked(hash)
-	hit := a.tr < c.profile.TransientBurst
-	if hit {
+	switch {
+	case rl && a.rl < c.profile.RateLimitBurst:
+		a.rl++
+		return fault429
+	case tr && a.tr < c.profile.TransientBurst:
 		a.tr++
+		return faultBlip
 	}
-	c.mu.Unlock()
-	if !hit {
-		return nil
-	}
-	c.sTransients.Add(1)
-	return fmt.Errorf("%w: faultform: injected blip for %q", formclient.ErrTransient, key)
+	return faultNone
 }
 
 // mutate applies the content faults — top-k jitter, reordering, count

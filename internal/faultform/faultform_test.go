@@ -8,6 +8,7 @@ import (
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/telemetry"
 )
 
 func testDB(t testing.TB, n, k int, mode hiddendb.CountMode) *hiddendb.DB {
@@ -86,7 +87,7 @@ func TestRateLimitBurstAbsorbedByEmulatedRetries(t *testing.T) {
 
 func TestRateLimitBurstBeyondBudgetSurfacesThenRecovers(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountNone)
-	conn := Wrap(formclient.NewLocal(db), Profile{RateLimitProb: 1, RateLimitBurst: 7, MaxRetries: 5}, 3)
+	conn := Wrap(formclient.NewLocal(db), Profile{RateLimitProb: 1, RateLimitBurst: 7}, 3)
 	ctx := context.Background()
 	q := overflowQuery(t, db)
 
@@ -103,22 +104,60 @@ func TestRateLimitBurstBeyondBudgetSurfacesThenRecovers(t *testing.T) {
 	}
 }
 
+// TestTransientBlipThenRecovery: the emulated client retries a blip burst
+// within its budget, as formclient.HTTP does, so one Execute absorbs it,
+// and a traced walk's level records the retries.
 func TestTransientBlipThenRecovery(t *testing.T) {
 	db := testDB(t, 200, 25, hiddendb.CountNone)
 	conn := Wrap(formclient.NewLocal(db), Profile{TransientProb: 1, TransientBurst: 2}, 3)
-	ctx := context.Background()
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{Rate: 1, Seed: 1, Capacity: 4})
+	w := tracer.Start("walk", "job", "")
+	w.BeginLevel(0, 0, 0, 1)
 	q := overflowQuery(t, db)
 
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Execute(ctx, q); !errors.Is(err, formclient.ErrTransient) {
-			t.Fatalf("attempt %d: err = %v, want ErrTransient", i, err)
-		}
+	if _, err := conn.Execute(telemetry.WithTrace(context.Background(), w), q); err != nil {
+		t.Fatalf("burst within budget must succeed: %v", err)
 	}
-	if _, err := conn.Execute(ctx, q); err != nil {
-		t.Fatalf("post-burst: %v", err)
+	w.EndLevel(telemetry.LevelValid, 0)
+	w.Finish()
+	if views := tracer.Dump(); len(views) != 1 || len(views[0].Levels) != 1 || views[0].Levels[0].Retries != 2 {
+		t.Fatalf("dump = %+v, want one level with 2 retries", views)
 	}
 	if st := conn.FaultStats(); st.Transients != 2 {
 		t.Fatalf("Transients = %d, want 2", st.Transients)
+	}
+	if st := conn.Stats(); st.TransientRetries != 2 || st.RateLimitRetries != 0 {
+		t.Fatalf("retries: %d transient, %d rate-limit; want 2 and 0", st.TransientRetries, st.RateLimitRetries)
+	}
+}
+
+// TestBurstsShareOneBudget: 429s come first, then blips, and both spend
+// one budget of formclient.MaxAttempts attempts; what is left of a burst
+// reaches the query's next execution.
+func TestBurstsShareOneBudget(t *testing.T) {
+	db := testDB(t, 200, 25, hiddendb.CountNone)
+	conn := Wrap(formclient.NewLocal(db), Profile{
+		RateLimitProb: 1, RateLimitBurst: 3, TransientProb: 1, TransientBurst: 3,
+	}, 3)
+	ctx := context.Background()
+	q := overflowQuery(t, db)
+
+	if _, err := conn.Execute(ctx, q); !errors.Is(err, formclient.ErrTransient) {
+		t.Fatalf("err = %v, want ErrTransient once the budget is spent", err)
+	}
+	fs, st := conn.FaultStats(), conn.Stats()
+	if fs.RateLimited != 3 || fs.Transients != formclient.MaxAttempts-3 || fs.Exhausted429s != 0 {
+		t.Fatalf("faults = %+v, want 3 429s, then blips to the budget", fs)
+	}
+	if st.RateLimitRetries != 3 || st.TransientRetries != formclient.MaxAttempts-4 {
+		t.Fatalf("retries: %d rate-limit, %d transient; want 3 and %d",
+			st.RateLimitRetries, st.TransientRetries, formclient.MaxAttempts-4)
+	}
+	if _, err := conn.Execute(ctx, q); err != nil {
+		t.Fatalf("post-burst execution: %v", err)
+	}
+	if fs := conn.FaultStats(); fs.Transients != 3 {
+		t.Fatalf("Transients = %d, want the whole burst of 3", fs.Transients)
 	}
 }
 
@@ -229,10 +268,10 @@ func TestCountRounding(t *testing.T) {
 }
 
 func TestPresetsResolve(t *testing.T) {
-	for _, name := range PresetNames() {
-		p, ok := Preset(name)
-		if !ok || p.Name != name {
-			t.Fatalf("preset %q does not resolve", name)
+	for _, want := range Presets() {
+		p, ok := Preset(want.Name)
+		if !ok || p.Name != want.Name {
+			t.Fatalf("preset %q does not resolve", want.Name)
 		}
 	}
 	if _, ok := Preset("nonsense"); ok {

@@ -214,7 +214,7 @@ func TestHTTPRateLimitRetry(t *testing.T) {
 		return now
 	}}
 	_, srv := vehiclesServer(t, 50, 10, hiddendb.CountNone, opts)
-	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep, MaxRetries: 10})
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := conn.Execute(ctx, hiddendb.EmptyQuery()); err != nil {
@@ -233,7 +233,7 @@ func TestHTTPRateLimitExhaustion(t *testing.T) {
 	fixed := time.Unix(0, 0)
 	opts := webform.Options{RatePerSec: 0.001, Burst: 1, Now: func() time.Time { return fixed }}
 	_, srv := vehiclesServer(t, 50, 10, hiddendb.CountNone, opts)
-	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep, MaxRetries: 3})
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 	ctx := context.Background()
 	if _, err := conn.Execute(ctx, hiddendb.EmptyQuery()); err != nil {
 		t.Fatalf("first query: %v", err)

@@ -16,6 +16,7 @@ import (
 
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/htmlx"
+	"hdsampler/internal/telemetry"
 )
 
 // ErrPageFormat reports that a page fetched from the target site did not
@@ -30,22 +31,24 @@ var ErrRateLimited = errors.New("formclient: rate limited beyond retry budget")
 // ErrTransient reports a fault that is the site's (or the network's)
 // problem, not the query's: a 5xx blip or a timed-out request. The
 // connector retries these within its budget; past it the error surfaces
-// wrapped in ErrTransient so upper layers (queryexec, the scenario
+// wrapped in ErrTransient so upper layers (the samplers, the scenario
 // harness) can distinguish "try again later" from "this query is wrong".
 var ErrTransient = errors.New("formclient: transient interface fault")
+
+// MaxAttempts is the retry budget of one request, the first attempt
+// included: 429 Too Many Requests answers, 5xx answers and timed-out
+// requests together spend it. It is the query stack's only retry loop;
+// faultform plays the same budget.
+const MaxAttempts = 5
+
+// maxRetryWait caps the backoff before any one retry.
+const maxRetryWait = 5 * time.Second
 
 // HTTPOptions tunes an HTTP connector.
 type HTTPOptions struct {
 	// Client is the http.Client to use; defaults to a client with a 30s
 	// timeout.
 	Client *http.Client
-	// MaxRetries bounds the attempts per request: 429 Too Many Requests
-	// answers, 5xx answers and timed-out requests together spend one
-	// budget of MaxRetries attempts, the first one included; defaults to
-	// 5.
-	MaxRetries int
-	// MaxRetryWait caps the per-attempt backoff duration; defaults to 5s.
-	MaxRetryWait time.Duration
 	// Sleep is the sleep function for retry backoff, overridable by tests;
 	// defaults to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -73,12 +76,6 @@ func NewHTTP(baseURL string, opts HTTPOptions) *HTTP {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 5
-	}
-	if opts.MaxRetryWait <= 0 {
-		opts.MaxRetryWait = 5 * time.Second
-	}
 	if opts.Sleep == nil {
 		opts.Sleep = sleepCtx
 	}
@@ -97,20 +94,26 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // get fetches a URL with rate-limit and transient-fault retries and
-// returns the body.
+// returns the body. Every request the connector sends goes through it —
+// the schema page and each page of a paginated answer included — so each
+// gets its own budget of MaxAttempts attempts.
 //
-// Two fault families are retried within the shared MaxRetries budget but
-// counted separately, because upper layers react differently: 429s are
+// Two fault families are retried within the shared budget but counted
+// separately, because upper layers react differently: 429s are
 // congestion (the AIMD limiter backs off when RateLimitRetries advances),
 // while 5xx blips and timed-out requests are plain flakiness
-// (TransientRetries) that must not shrink the concurrency window.
+// (TransientRetries) that must not shrink the concurrency window. A
+// traced walk also counts each transient retry on its open level.
 func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 	var lastWait time.Duration
 	var retrying *atomic.Int64 // counter to bump when the next attempt starts
 	var budgetErr error        // error surfaced when the retry budget runs out
-	for attempt := 0; attempt < h.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < MaxAttempts; attempt++ {
 		if attempt > 0 {
 			retrying.Add(1)
+			if tr := telemetry.TraceFrom(ctx); tr != nil && retrying == &h.transients {
+				tr.AddRetry()
+			}
 			if err := h.opts.Sleep(ctx, lastWait); err != nil {
 				return nil, err
 			}
@@ -126,7 +129,7 @@ func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 			// context (or any other transport failure) is not.
 			if ctx.Err() == nil && isTimeout(err) {
 				retrying, budgetErr = &h.transients, fmt.Errorf("%w: GET %s: %v", ErrTransient, u, err)
-				lastWait = transientWait(attempt, h.opts.MaxRetryWait)
+				lastWait = transientWait(attempt)
 				continue
 			}
 			return nil, err
@@ -141,13 +144,13 @@ func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 			return body, nil
 		case http.StatusTooManyRequests:
 			retrying, budgetErr = &h.retries, fmt.Errorf("%w: %s", ErrRateLimited, u)
-			lastWait = retryWait(resp, h.opts.MaxRetryWait)
+			lastWait = retryWait(resp)
 			continue
 		case http.StatusInternalServerError, http.StatusBadGateway,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 			retrying, budgetErr = &h.transients, fmt.Errorf("%w: GET %s: status %d: %s",
 				ErrTransient, u, resp.StatusCode, strings.TrimSpace(string(body)))
-			lastWait = transientWait(attempt, h.opts.MaxRetryWait)
+			lastWait = transientWait(attempt)
 			continue
 		default:
 			return nil, fmt.Errorf("formclient: GET %s: status %d: %s",
@@ -165,32 +168,25 @@ func isTimeout(err error) bool {
 }
 
 // transientWait is the exponential backoff for 5xx/timeout retries, capped
-// at max; servers in a blip give no Retry-After hint to honor.
-func transientWait(attempt int, max time.Duration) time.Duration {
-	return minDur(100*time.Millisecond<<attempt, max)
+// at maxRetryWait; servers in a blip give no Retry-After hint to honor.
+func transientWait(attempt int) time.Duration {
+	return min(100*time.Millisecond<<attempt, maxRetryWait)
 }
 
 // retryWait derives the backoff from the response headers, preferring the
-// millisecond-precision hint, capped at max.
-func retryWait(resp *http.Response, max time.Duration) time.Duration {
+// millisecond-precision hint, capped at maxRetryWait.
+func retryWait(resp *http.Response) time.Duration {
 	if ms := resp.Header.Get("X-Retry-After-Ms"); ms != "" {
 		if v, err := strconv.Atoi(ms); err == nil && v > 0 {
-			return minDur(time.Duration(v)*time.Millisecond, max)
+			return min(time.Duration(v)*time.Millisecond, maxRetryWait)
 		}
 	}
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return minDur(time.Duration(v)*time.Second, max)
+			return min(time.Duration(v)*time.Second, maxRetryWait)
 		}
 	}
-	return minDur(200*time.Millisecond, max)
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
+	return min(200*time.Millisecond, maxRetryWait)
 }
 
 // Schema implements Conn: on first call it fetches the form page, locates

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/telemetry"
 	"hdsampler/internal/webform"
 )
 
@@ -71,6 +72,28 @@ func TestHTMLScrapeSurvives5xxBlips(t *testing.T) {
 	}
 }
 
+// TestTracedQueryCountsRetries: the connector's loop is the stack's only
+// retry, so a traced walk's level records the retries it spent there.
+func TestTracedQueryCountsRetries(t *testing.T) {
+	_, srv := blipServer(t, 300, 50, hiddendb.CountNone, webform.Options{}, 2)
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{Rate: 1, Seed: 1, Capacity: 4})
+	w := tracer.Start("walk", "job", "")
+	w.BeginLevel(0, 0, 0, 1)
+	if _, err := conn.Execute(telemetry.WithTrace(context.Background(), w), hiddendb.EmptyQuery()); err != nil {
+		t.Fatal(err)
+	}
+	w.EndLevel(telemetry.LevelValid, 0)
+	w.Finish()
+	views := tracer.Dump()
+	if len(views) != 1 || len(views[0].Levels) != 1 {
+		t.Fatalf("dump = %+v, want one trace of one level", views)
+	}
+	if got := views[0].Levels[0].Retries; got != 2 {
+		t.Fatalf("level retries = %d, want 2", got)
+	}
+}
+
 // TestHTMLPaginationSurvivesBlips: pagination fetches each page as its
 // own request (a distinct blip target); the scraper must retry through
 // per-page bursts and still return the complete assembled answer.
@@ -118,17 +141,17 @@ func TestPersistent5xxSurfacesErrTransient(t *testing.T) {
 		http.Error(w, "boom", http.StatusBadGateway)
 	}))
 	defer srv.Close()
-	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep, MaxRetries: 3})
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: noSleep})
 
 	_, err := conn.Schema(context.Background())
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want 3 (the retry budget)", got)
+	if got := hits.Load(); got != MaxAttempts {
+		t.Fatalf("server saw %d requests, want %d (the retry budget)", got, MaxAttempts)
 	}
-	if st := conn.Stats(); st.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", st.TransientRetries)
+	if st := conn.Stats(); st.TransientRetries != MaxAttempts-1 {
+		t.Fatalf("TransientRetries = %d, want %d", st.TransientRetries, MaxAttempts-1)
 	}
 }
 

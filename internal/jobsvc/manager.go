@@ -18,7 +18,6 @@ import (
 
 	"hdsampler"
 	"hdsampler/internal/core"
-	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/history"
 	"hdsampler/internal/jobq"
@@ -73,18 +72,6 @@ type Config struct {
 	// JournalCompactEvery overrides the journal's snapshot+truncate
 	// compaction cadence in records (0 = jobq default).
 	JournalCompactEvery int
-	// FaultProfile, when naming a faultform preset other than "none",
-	// wraps every target connector in that adversarial profile — the
-	// daemon's chaos/staging mode: jobs run against a deliberately
-	// misbehaving interface (429 bursts, blips, jitter) so operators can
-	// prove the stack absorbs production-grade rudeness before pointing
-	// it at production. Injected fault counts surface per host on
-	// /metrics. Unknown names are rejected by cmd/hdsamplerd and ignored
-	// (with a log line) here.
-	FaultProfile string
-	// FaultSeed makes the injected misbehaviour reproducible; each target
-	// derives its own stream from this and its identity.
-	FaultSeed int64
 	// Client overrides the HTTP client used for target connectors
 	// (timeouts, proxies, test servers).
 	Client *http.Client
@@ -94,9 +81,6 @@ type Config struct {
 	TraceSampleRate float64
 	// TraceCapacity is the finished-trace ring buffer size (default 128).
 	TraceCapacity int
-	// TraceSeed seeds the deterministic trace sampler; runs with equal
-	// seeds sample the same walk positions.
-	TraceSeed uint64
 	// SlowWalk, when positive, logs (and counts) candidate draws that take
 	// at least this long.
 	SlowWalk time.Duration
@@ -168,15 +152,13 @@ type hostEntry struct {
 	targets map[string]*target
 }
 
-// target is one (connector kind, base URL): the raw formclient conn
-// (optionally wrapped in the configured fault profile) and one
-// hdsampler.Stack over it per history mode. Jobs sharing a target and a
-// mode share that stack's cache; every stack on a host shares the host's
-// admission limiter.
+// target is one (connector kind, base URL): the raw formclient conn and
+// one hdsampler.Stack over it per history mode. Jobs sharing a target and
+// a mode share that stack's cache; every stack on a host shares the
+// host's admission limiter.
 type target struct {
 	key    string // connector + "|" + URL, the checkpoint identity
 	base   formclient.Conn
-	fault  *faultform.Conn // nil without a fault profile
 	stacks map[historyMode]*hdsampler.Stack
 }
 
@@ -261,7 +243,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.tracer = telemetry.NewTracer(telemetry.TracerOptions{
 		Rate:     cfg.TraceSampleRate,
-		Seed:     cfg.TraceSeed,
 		Capacity: cfg.TraceCapacity,
 	})
 	var replay *jobq.Replay
@@ -536,9 +517,8 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 
 // stackFor returns the stack a job draws through: the hdsampler.Stack for
 // the job's history mode over its target's base conn (shared per
-// connector kind and URL, wrapped in the configured fault profile in
-// chaos mode). A stack with a cache is warm-started from its HistoryDir
-// checkpoint, when one exists.
+// connector kind and URL). A stack with a cache is warm-started from its
+// HistoryDir checkpoint, when one exists.
 func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 	key := spec.Connector + "|" + spec.URL
 	mode := spec.historyMode()
@@ -552,14 +532,6 @@ func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 			tg.base = formclient.NewAPI(spec.URL, opts)
 		} else {
 			tg.base = formclient.NewHTTP(spec.URL, opts)
-		}
-		if prof, ok := faultProfile(cfg); ok {
-			// Chaos mode: the adversarial wrapper plays the misbehaving
-			// site, below the execution layer, so the AIMD limiter and the
-			// retry paths absorb the injected rudeness exactly as they
-			// would the real thing.
-			tg.fault = faultform.Wrap(tg.base, prof, faultSeed(cfg.FaultSeed, key))
-			tg.base = tg.fault
 		}
 		he.targets[key] = tg
 	}
@@ -590,30 +562,6 @@ func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 	}
 	tg.stacks[mode] = fresh
 	return fresh
-}
-
-// faultProfile resolves the configured fault preset; ok is false when
-// injection is off (empty, "none", or an unknown name — logged once per
-// submit path would be noisy, so unknown names log here and disable).
-func faultProfile(cfg Config) (faultform.Profile, bool) {
-	if cfg.FaultProfile == "" || cfg.FaultProfile == "none" {
-		return faultform.Profile{}, false
-	}
-	p, ok := faultform.Preset(cfg.FaultProfile)
-	if !ok {
-		cfg.logger().Warn("unknown fault profile; fault injection disabled",
-			"component", "jobsvc", "profile", cfg.FaultProfile, "known", fmt.Sprint(faultform.PresetNames()))
-		return faultform.Profile{}, false
-	}
-	return p, true
-}
-
-// faultSeed derives a target's fault stream from the daemon seed and the
-// target identity, so two targets never replay one misbehaviour script.
-func faultSeed(seed int64, key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return seed ^ int64(h.Sum64())
 }
 
 // historySource names one cache identity for checkpointing: the target
@@ -1220,14 +1168,11 @@ type HostStats struct {
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Throttled int64 `json:"throttled"`
-	// WireCalls sums the host's wire executions. TransientRetries counts
-	// the wire executions the layer repeated after transient interface
-	// faults.
+	// WireCalls sums the queries the host's execution layers sent to the
+	// connectors, one per query. TransientRetries counts the requests the
+	// host's connectors repeated after transient interface faults.
 	WireCalls        int64 `json:"wire_calls"`
 	TransientRetries int64 `json:"transient_retries"`
-	// Faults sums the misbehaviour the configured fault profile injected
-	// into this host's targets (all zero without a profile).
-	Faults faultform.Stats `json:"faults"`
 	// InFlight and Limit snapshot the host's admission controller: wire
 	// requests currently running and the AIMD concurrency window (0 when
 	// concurrency limiting is off). Backoffs counts 429-pushback window
@@ -1264,23 +1209,14 @@ func (m *Manager) Hosts() []HostStats {
 		he.mu.Lock()
 		caches := make([]*history.Cache, 0, len(he.targets))
 		for _, tg := range he.targets {
+			// A target's stacks share its base conn, whose retries are
+			// counted once.
+			hs.TransientRetries += tg.base.Stats().TransientRetries
 			for _, st := range tg.stacks {
-				xs := st.ExecStats()
-				hs.WireCalls += xs.WireCalls
-				hs.TransientRetries += xs.TransientRetries
+				hs.WireCalls += st.ExecStats().WireCalls
 				if c := st.Cache(); c != nil {
 					caches = append(caches, c)
 				}
-			}
-			if tg.fault != nil {
-				fs := tg.fault.FaultStats()
-				hs.Faults.RateLimited += fs.RateLimited
-				hs.Faults.Exhausted429s += fs.Exhausted429s
-				hs.Faults.Transients += fs.Transients
-				hs.Faults.Jittered += fs.Jittered
-				hs.Faults.Reordered += fs.Reordered
-				hs.Faults.RoundedCounts += fs.RoundedCounts
-				hs.Faults.SlowCalls += fs.SlowCalls
 			}
 		}
 		he.mu.Unlock()

@@ -1,9 +1,6 @@
 package jobsvc
 
-import (
-	"hdsampler/internal/faultform"
-	"hdsampler/internal/telemetry"
-)
+import "hdsampler/internal/telemetry"
 
 // registerMetrics wires every service metric into the manager's telemetry
 // registry: the families the legacy hand-rolled /metrics writer emitted
@@ -76,7 +73,7 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return h.ShardBalance.CV })
 	perHost("hdsamplerd_host_throttled_total", "Queries delayed by the per-host politeness budget.", true,
 		func(h HostStats) float64 { return float64(h.Throttled) })
-	perHost("hdsamplerd_host_exec_wire_calls_total", "Wire executions (one per query, plus transient retries).", true,
+	perHost("hdsamplerd_host_exec_wire_calls_total", "Queries the execution layer sent to the connector, one per query; the connector's retries are not counted.", true,
 		func(h HostStats) float64 { return float64(h.WireCalls) })
 	perHost("hdsamplerd_host_exec_in_flight", "Wire requests currently running against each host.", false,
 		func(h HostStats) float64 { return float64(h.InFlight) })
@@ -84,19 +81,8 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return h.Limit })
 	perHost("hdsamplerd_host_exec_backoffs_total", "Multiplicative window cuts after 429 pushback.", true,
 		func(h HostStats) float64 { return float64(h.Backoffs) })
-	perHost("hdsamplerd_host_exec_transient_retries_total", "Wire executions repeated after transient interface faults (5xx blips, timeouts).", true,
+	perHost("hdsamplerd_host_exec_transient_retries_total", "Requests the connectors repeated after transient interface faults (5xx blips, timeouts).", true,
 		func(h HostStats) float64 { return float64(h.TransientRetries) })
-
-	r.CollectCounter("hdsamplerd_host_faults_injected_total",
-		"Misbehaviour injected by the configured fault profile, by kind (zero without -fault-profile).",
-		func(emit telemetry.Emit) {
-			for _, h := range m.Hosts() {
-				host := telemetry.Label{Name: "host", Value: h.Host}
-				for _, kv := range faultKinds(h.Faults) {
-					emit(float64(kv.n), host, telemetry.Label{Name: "kind", Value: kv.kind})
-				}
-			}
-		})
 
 	// Job-journal durability counters. journal_degraded is the loud flag:
 	// 1 means configured durability is not protecting jobs right now
@@ -129,7 +115,7 @@ func (m *Manager) registerMetrics() {
 	m.wireHist = r.HistogramVec("hdsamplerd_host_wire_rtt_seconds",
 		"Wire round-trip latency of real interface requests, per host.", "host")
 	m.execHist = r.HistogramVec("hdsamplerd_host_exec_latency_seconds",
-		"Execution-layer latency per query (admission waits and transient retries included), per host.", "host")
+		"Execution-layer latency per query (admission waits and the connector's retries included), per host.", "host")
 	m.cacheHist = r.HistogramVec("hdsamplerd_host_cache_lookup_seconds",
 		"History-cache lookup latency on traced walks, per host.", "host")
 	m.walkHist = r.HistogramVec("hdsamplerd_walk_duration_seconds",
@@ -145,24 +131,4 @@ func (m *Manager) registerMetrics() {
 	r.GaugeFunc("hdsamplerd_traces_buffered", "Finished traces currently held in the ring buffer.", func() float64 {
 		return float64(m.tracer.Stats().Buffered)
 	})
-}
-
-// faultKinds flattens fault-injection stats into (kind, count) pairs in
-// the exposition's historical order.
-func faultKinds(f faultform.Stats) []struct {
-	kind string
-	n    int64
-} {
-	return []struct {
-		kind string
-		n    int64
-	}{
-		{"rate_limited", f.RateLimited},
-		{"exhausted_429s", f.Exhausted429s},
-		{"transient", f.Transients},
-		{"jittered", f.Jittered},
-		{"reordered", f.Reordered},
-		{"rounded_counts", f.RoundedCounts},
-		{"slow_calls", f.SlowCalls},
-	}
 }

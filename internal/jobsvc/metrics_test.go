@@ -64,7 +64,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"hdsamplerd_host_exec_wire_calls_total",
 		"hdsamplerd_host_exec_in_flight",
 		"hdsamplerd_host_exec_concurrency_limit",
-		"hdsamplerd_host_faults_injected_total",
+		"hdsamplerd_host_exec_transient_retries_total",
 		"hdsamplerd_host_wire_rtt_seconds",
 		"hdsamplerd_host_exec_latency_seconds",
 		"hdsamplerd_walk_duration_seconds",

@@ -16,23 +16,11 @@ type Options struct {
 	// Limiter is the shared per-host admission controller; nil runs
 	// unlimited.
 	Limiter *Limiter
-	// TransientRetries bounds how many times a wire execution that failed
-	// with formclient.ErrTransient (a 5xx blip, a timed-out request, an
-	// injected fault) is retried before the error propagates; without it,
-	// one blip kills the caller's walk. Over HTTP or the API each retry
-	// re-runs the connector's whole budget of HTTPOptions.MaxRetries
-	// attempts, so a one-page query can cost up to
-	// (1+TransientRetries)×MaxRetries wire requests: 15 at the defaults.
-	// Default 2; negative disables retrying.
-	TransientRetries int
-	// Sleep paces transient-retry backoff, overridable by tests; defaults
-	// to a context-aware sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// Wire, when set, observes every wire round trip; ExecLatency, when
-	// set, observes every logical Execute through the layer, including
-	// admission waits and retry backoff. Wire calls are rare and slow
-	// relative to a clock read, so these stay on for all traffic; leave
-	// nil to skip the timing entirely.
+	// Wire, when set, observes every wire round trip, the connector's
+	// retries included; ExecLatency, when set, observes every logical
+	// Execute through the layer, including admission waits. Wire calls
+	// are rare and slow relative to a clock read, so these stay on for
+	// all traffic; leave nil to skip the timing entirely.
 	Wire        *telemetry.Histogram
 	ExecLatency *telemetry.Histogram
 }
@@ -41,11 +29,10 @@ type Options struct {
 type Stats struct {
 	// Queries is the number of logical queries answered.
 	Queries int64
-	// WireCalls counts wire executions, transient retries included.
+	// WireCalls counts the queries sent to the connector, one per query
+	// the layer admitted; the requests the connector spent on them,
+	// retries included, are in its Stats.
 	WireCalls int64
-	// TransientRetries counts wire executions repeated after a transient
-	// interface fault (formclient.ErrTransient).
-	TransientRetries int64
 }
 
 // Executor is a formclient.Conn decorator implementing the execution
@@ -59,21 +46,12 @@ type Executor struct {
 
 	lastRetries atomic.Int64
 
-	queries    atomic.Int64
-	wire       atomic.Int64
-	transients atomic.Int64
+	queries atomic.Int64
+	wire    atomic.Int64
 }
 
 // New wraps inner with the execution layer.
 func New(inner formclient.Conn, opts Options) *Executor {
-	if opts.TransientRetries == 0 {
-		opts.TransientRetries = 2
-	} else if opts.TransientRetries < 0 {
-		opts.TransientRetries = 0
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = sleepCtx
-	}
 	x := &Executor{inner: inner, opts: opts}
 	// Snapshot the connector's retry counter: pre-existing 429 history on
 	// a reused connector is not congestion this executor caused.
@@ -91,17 +69,15 @@ func (x *Executor) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 // true query costs. The layer's own effect is in ExecStats.
 func (x *Executor) Stats() formclient.Stats { return x.inner.Stats() }
 
-// ExecStats returns the layer's query, wire and retry counters.
+// ExecStats returns the layer's query and wire counters.
 func (x *Executor) ExecStats() Stats {
-	return Stats{
-		Queries:          x.queries.Load(),
-		WireCalls:        x.wire.Load(),
-		TransientRetries: x.transients.Load(),
-	}
+	return Stats{Queries: x.queries.Load(), WireCalls: x.wire.Load()}
 }
 
 // Execute implements formclient.Conn: it sends q on the caller's
-// goroutine, under the limiter, retrying transient interface faults.
+// goroutine, under the limiter. The layer retries nothing: the connector
+// retries 429s and transient faults within formclient.MaxAttempts, and
+// what it gives up on reaches the caller.
 func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
 	x.queries.Add(1)
 	if x.opts.ExecLatency == nil {
@@ -113,62 +89,32 @@ func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Res
 	return res, err
 }
 
-// execute issues one single-query wire request under the limiter,
-// retrying transient interface faults within the configured budget. The
-// admission slot is held only for the wire call itself — a backoff sleep
-// must not starve other queries of the window. A traced walk's marks go
-// straight onto its trace, since the call runs on the walk's goroutine.
+// execute issues one single-query wire request under the limiter. The
+// admission slot is held for the connector's whole call, its retries
+// included. A traced walk's marks go straight onto its trace, since the
+// call runs on the walk's goroutine.
 func (x *Executor) execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
-	tr := telemetry.TraceFrom(ctx)
-	for attempt := 0; ; attempt++ {
-		if err := x.opts.Limiter.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			// Traced walks record the AIMD window as seen at send time; the
-			// Limit read takes the limiter mutex, so it stays off the
-			// untraced path.
-			tr.MarkExec(telemetry.ExecWire)
-			tr.SetAIMDLimit(x.opts.Limiter.Limit())
-		}
-		var start time.Time
-		if x.opts.Wire != nil {
-			start = time.Now()
-		}
-		res, err := x.inner.Execute(ctx, q)
-		if x.opts.Wire != nil {
-			x.opts.Wire.Observe(time.Since(start))
-		}
-		x.wire.Add(1)
-		x.opts.Limiter.Release(x.clean(err))
-		if !x.retryable(ctx, err, attempt) {
-			return res, err
-		}
-		x.transients.Add(1)
-		if tr != nil {
-			tr.AddRetry()
-		}
-		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
-			return nil, serr
-		}
+	if err := x.opts.Limiter.Acquire(ctx); err != nil {
+		return nil, err
 	}
-}
-
-// retryable reports whether a failed wire execution should be repeated:
-// only transient faults, only within the budget, and never once the
-// caller's context is gone.
-func (x *Executor) retryable(ctx context.Context, err error, attempt int) bool {
-	return err != nil && attempt < x.opts.TransientRetries &&
-		errors.Is(err, formclient.ErrTransient) && ctx.Err() == nil
-}
-
-// transientBackoff spaces retry attempts: short, because blips are short.
-func transientBackoff(attempt int) time.Duration {
-	d := 2 * time.Millisecond << attempt
-	if d > 50*time.Millisecond {
-		d = 50 * time.Millisecond
+	if tr := telemetry.TraceFrom(ctx); tr != nil {
+		// Traced walks record the AIMD window as seen at send time; the
+		// Limit read takes the limiter mutex, so it stays off the
+		// untraced path.
+		tr.MarkExec(telemetry.ExecWire)
+		tr.SetAIMDLimit(x.opts.Limiter.Limit())
 	}
-	return d
+	var start time.Time
+	if x.opts.Wire != nil {
+		start = time.Now()
+	}
+	res, err := x.inner.Execute(ctx, q)
+	if x.opts.Wire != nil {
+		x.opts.Wire.Observe(time.Since(start))
+	}
+	x.wire.Add(1)
+	x.opts.Limiter.Release(x.clean(err))
+	return res, err
 }
 
 // clean reports whether a wire interaction ran free of rate-limit

@@ -7,17 +7,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 )
 
-func noSleep(context.Context, time.Duration) error { return nil }
+// The execution layer retries nothing: 429s and blips are the connector's
+// to retry, within formclient.MaxAttempts. faultform plays that loop over
+// formclient.Local here, as formclient.HTTP runs it over the wire.
 
 // blippyConn fails the first `fail` Executes of each query key with a
-// transient fault, then answers.
+// transient fault, then answers: a connector that surfaces every blip at
+// once.
 type blippyConn struct {
 	*formclient.Local
 	fail     int
@@ -46,10 +49,14 @@ func (b *blippyConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.R
 	return b.Local.Execute(ctx, q)
 }
 
+// TestTransientRetryRecoversBlips: a blip burst within the connector's
+// budget costs one wire call through the layer, and the layer's AIMD
+// window ignores it, since blips are not congestion.
 func TestTransientRetryRecoversBlips(t *testing.T) {
 	db := testDB(t, 300)
-	inner := newBlippy(db, 2)
-	x := New(inner, Options{TransientRetries: 2, Sleep: noSleep})
+	inner := faultform.Wrap(formclient.NewLocal(db), faultform.Profile{TransientProb: 1, TransientBurst: 2}, 1)
+	lim := NewLimiter(LimiterOptions{MaxInFlight: 4})
+	x := New(inner, Options{Limiter: lim})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	res, err := x.Execute(context.Background(), q)
@@ -60,37 +67,59 @@ func TestTransientRetryRecoversBlips(t *testing.T) {
 	if len(res.Tuples) != len(want.Tuples) {
 		t.Fatalf("got %d tuples, want %d", len(res.Tuples), len(want.Tuples))
 	}
-	st := x.ExecStats()
-	if st.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", st.TransientRetries)
+	if st := x.ExecStats(); st.WireCalls != 1 {
+		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
 	}
-	if st.WireCalls != 3 {
-		t.Fatalf("WireCalls = %d, want 3", st.WireCalls)
+	if st := x.Stats(); st.TransientRetries != 2 {
+		t.Fatalf("connector TransientRetries = %d, want 2", st.TransientRetries)
+	}
+	if b := lim.Backoffs(); b != 0 {
+		t.Fatalf("limiter backed off %d times on blips", b)
 	}
 }
 
+// TestTransientRetryBudgetExhausts: past the connector's budget the blip
+// reaches the caller after formclient.MaxAttempts attempts and one wire
+// call through the layer.
 func TestTransientRetryBudgetExhausts(t *testing.T) {
 	db := testDB(t, 300)
-	inner := newBlippy(db, 100) // blips forever
-	x := New(inner, Options{TransientRetries: 2, Sleep: noSleep})
+	inner := faultform.Wrap(formclient.NewLocal(db),
+		faultform.Profile{TransientProb: 1, TransientBurst: 2 * formclient.MaxAttempts}, 1)
+	lim := NewLimiter(LimiterOptions{MaxInFlight: 4})
+	x := New(inner, Options{Limiter: lim})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	_, err := x.Execute(context.Background(), q)
 	if !errors.Is(err, formclient.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	if st := x.ExecStats(); st.WireCalls != 3 {
-		t.Fatalf("WireCalls = %d, want 3 (1 + 2 retries)", st.WireCalls)
+	if st := x.ExecStats(); st.WireCalls != 1 {
+		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
+	}
+	if got := inner.FaultStats().Transients; got != formclient.MaxAttempts {
+		t.Fatalf("site served %d blips, want %d (the connector's budget)", got, formclient.MaxAttempts)
+	}
+	if b := lim.Backoffs(); b != 0 {
+		t.Fatalf("limiter backed off %d times on blips", b)
 	}
 }
 
+// TestTransientRetryDisabled: the layer adds no retry of its own, so a
+// connector that surfaces a blip at once costs one wire call and the blip
+// comes back to the caller.
 func TestTransientRetryDisabled(t *testing.T) {
 	db := testDB(t, 300)
 	inner := newBlippy(db, 1)
-	x := New(inner, Options{TransientRetries: -1, Sleep: noSleep})
+	x := New(inner, Options{})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	if _, err := x.Execute(context.Background(), q); !errors.Is(err, formclient.ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient with retries disabled", err)
+		t.Fatalf("err = %v, want ErrTransient", err)
+	}
+	if st := x.ExecStats(); st.WireCalls != 1 {
+		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
+	}
+	if got := inner.faults.Load(); got != 1 {
+		t.Fatalf("connector blipped %d times, want 1", got)
 	}
 }

@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/telemetry"
 )
 
-// TestTraceMarksWireAndRetry: a traced query records its wire call, the
-// limiter's window at send time and the transient retry it spent.
+// TestTraceMarksWireAndRetry: a traced query records its wire call and the
+// limiter's window at send time. Its retries are marked where they
+// happen, in the connector (formclient's TestTracedQueryCountsRetries).
 func TestTraceMarksWireAndRetry(t *testing.T) {
 	db := testDB(t, 300)
 	lim := NewLimiter(LimiterOptions{MaxInFlight: 6})
-	x := New(newBlippy(db, 1), Options{Limiter: lim, TransientRetries: 2, Sleep: noSleep})
+	x := New(formclient.NewLocal(db), Options{Limiter: lim})
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{Rate: 1, Seed: 1, Capacity: 4})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1})
 
@@ -31,7 +33,7 @@ func TestTraceMarksWireAndRetry(t *testing.T) {
 	if len(views) != 1 || len(views[0].Levels) != 1 {
 		t.Fatalf("dump = %+v, want one trace of one level", views)
 	}
-	if lv := views[0].Levels[0]; lv.Exec != "wire" || lv.AIMDLimit != 6 || lv.Retries != 1 {
-		t.Fatalf("level = %+v, want exec=wire, aimd_limit=6, retries=1", lv)
+	if lv := views[0].Levels[0]; lv.Exec != "wire" || lv.AIMDLimit != 6 {
+		t.Fatalf("level = %+v, want exec=wire, aimd_limit=6", lv)
 	}
 }

@@ -331,11 +331,8 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 		K:          p.ds.K,
 		Attrs:      scopeAttrs(p.db.Schema(), p.sp.Scope),
 		UseHistory: true,
-		Exec: hdsampler.ExecConfig{
-			MaxInFlight:      8,
-			TransientRetries: 3,
-		},
-		Obs: &telemetry.WalkObserver{Tracer: tracer, Duration: walkHist},
+		Exec:       hdsampler.ExecConfig{MaxInFlight: 8},
+		Obs:        &telemetry.WalkObserver{Tracer: tracer, Duration: walkHist},
 	}
 	start := time.Now()
 	tuples, stats, err := hdsampler.DrawParallel(ctx, conn, cfg, p.n, p.workers)

@@ -62,6 +62,12 @@ func TestFullMatrix(t *testing.T) {
 		if c.Queries == 0 {
 			t.Errorf("%s/%s/%s: zero queries", c.Dataset, c.Fault, c.Sampler)
 		}
+		// The connector's loop retries every blip within its budget, so
+		// each blip the site served is one retried request.
+		if c.QueriesRetried != c.Faults.Transients {
+			t.Errorf("%s/%s/%s: %d retries for %d injected blips",
+				c.Dataset, c.Fault, c.Sampler, c.QueriesRetried, c.Faults.Transients)
+		}
 	}
 	if gated == 0 {
 		t.Error("no cell was bias-gated; the matrix checks nothing")
@@ -76,7 +82,7 @@ func TestFullMatrix(t *testing.T) {
 
 // TestMatrixDeterministic pins the acceptance requirement that the grid
 // replays identically from a seed: two runs agree on every cell's query
-// bill, acceptance count and bias statistics.
+// bill, retries, acceptance count and bias statistics.
 func TestMatrixDeterministic(t *testing.T) {
 	ctx := context.Background()
 	a, err := Run(ctx, smallConfig(7))
@@ -95,9 +101,10 @@ func TestMatrixDeterministic(t *testing.T) {
 		if ca.Dataset != cb.Dataset || ca.Fault != cb.Fault || ca.Sampler != cb.Sampler {
 			t.Fatalf("cell %d identity differs", i)
 		}
-		if ca.Accepted != cb.Accepted || ca.Queries != cb.Queries || ca.C != cb.C {
-			t.Errorf("%s/%s/%s: accepted/queries/C differ: (%d,%d,%g) vs (%d,%d,%g)",
-				ca.Dataset, ca.Fault, ca.Sampler, ca.Accepted, ca.Queries, ca.C, cb.Accepted, cb.Queries, cb.C)
+		if ca.Accepted != cb.Accepted || ca.Queries != cb.Queries || ca.QueriesRetried != cb.QueriesRetried || ca.C != cb.C {
+			t.Errorf("%s/%s/%s: accepted/queries/retried/C differ: (%d,%d,%d,%g) vs (%d,%d,%d,%g)",
+				ca.Dataset, ca.Fault, ca.Sampler, ca.Accepted, ca.Queries, ca.QueriesRetried, ca.C,
+				cb.Accepted, cb.Queries, cb.QueriesRetried, cb.C)
 		}
 		if ca.ChiSquare != cb.ChiSquare || ca.KS != cb.KS {
 			t.Errorf("%s/%s/%s: bias statistics differ: chi %g vs %g, ks %g vs %g",

@@ -193,8 +193,11 @@ func DrawParallel(ctx context.Context, conn Conn, cfg Config, n, workers int) ([
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// The retry counter lives in the caller's connector, which may have
+	// drawn before: window it over this draw.
+	m := st.mark()
 	tuples, stats, err := rs.Draw(ctx, n)
-	st.fill(&stats, Stats{})
+	st.fill(&stats, m)
 	return tuples, stats, err
 }
 

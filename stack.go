@@ -49,13 +49,13 @@ func (st *Stack) Conn() Conn { return st.conn }
 // history.
 func (st *Stack) Cache() *history.Cache { return st.cache }
 
-// ExecStats returns the execution layer's query, wire and retry counters.
+// ExecStats returns the execution layer's query and wire counters.
 func (st *Stack) ExecStats() ExecStats { return st.exec.ExecStats() }
 
-// mark reads the stack's cumulative savings into the Stats fields that
-// report them.
+// mark reads the stack's cumulative savings, and the connector's
+// transient retries, into the Stats fields that report them.
 func (st *Stack) mark() Stats {
-	m := Stats{QueriesRetried: st.exec.ExecStats().TransientRetries}
+	m := Stats{QueriesRetried: st.exec.Stats().TransientRetries}
 	if st.cache != nil {
 		m.QueriesSaved = st.cache.CacheStats().Saved()
 	}

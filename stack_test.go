@@ -54,7 +54,7 @@ func stackConfigurationsAgree(t *testing.T, mode hiddendb.CountMode, attrs []int
 		{"history", Config{UseHistory: true}, false},
 		{"history+trust", Config{UseHistory: true, TrustCounts: true}, false},
 		{"max-in-flight", Config{Exec: ExecConfig{MaxInFlight: 4}}, false},
-		{"flaky+retries", Config{Exec: ExecConfig{TransientRetries: 5}}, true},
+		{"flaky+retries", Config{}, true},
 	}
 	db, _ := localVehicles(t, 2000, 100, mode)
 	ctx := context.Background()

@@ -55,7 +55,7 @@ func main() {
 		headF      = flag.String("head", "", "head benchmark output file")
 		benchF     = flag.String("bench", "", "comma-separated benchmark names to gate; a name also covers its sub-benchmarks (BenchmarkExecuteIntersect gates .../none and .../exact separately)")
 		thresholdF = flag.Float64("threshold", 15, "fail when median ns/op regresses more than this percentage")
-		noiseF     = flag.Float64("noise", 10, "advisory-only when either side's relative spread exceeds this percentage")
+		noiseF     = flag.Float64("noise", 10, "advisory-only when either side's spread (half the inter-quartile range over the median) exceeds this percentage")
 		minN       = flag.Int("min-samples", 3, "advisory-only when either side has fewer samples than this")
 		updateF    = flag.Bool("update", false, "rewrite -baseline from the -head samples (filtered to -bench when given) instead of gating")
 		renderF    = flag.Bool("render", false, "print -baseline as a markdown table and exit")
@@ -347,8 +347,12 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// spread is the relative half-range around the median, in percent — a
-// cheap robust noise measure for the handful of samples -count produces.
+// spread is half the inter-quartile range over the median, in percent: a
+// noise measure for the handful of samples -count produces. The quartiles
+// are the sorted samples at ranks ⌊n/4⌋ and ⌊3n/4⌋, which exclude both
+// extremes only from n = 5 on, so only there can one outlier not decide
+// the spread the way it decides the half-range; at n = 3 or 4 a quartile
+// is an extreme sample.
 func spread(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
@@ -359,5 +363,6 @@ func spread(xs []float64) float64 {
 	if m <= 0 {
 		return 100
 	}
-	return (s[len(s)-1] - s[0]) / m * 100 / 2
+	n := len(s)
+	return (s[3*n/4] - s[n/4]) / m * 100 / 2
 }

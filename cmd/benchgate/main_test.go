@@ -32,6 +32,9 @@ func TestParseLine(t *testing.T) {
 
 func TestVerdicts(t *testing.T) {
 	stable := func(v float64) []float64 { return []float64{v, v * 1.01, v * 0.99, v * 1.005} }
+	// outlier is five tight samples plus one at 4×, as one descheduled
+	// run on a shared CI runner produces.
+	outlier := func(v float64) []float64 { return append(stable(v), v*0.995, v*4) }
 	cases := []struct {
 		name         string
 		base, head   []float64
@@ -44,6 +47,10 @@ func TestVerdicts(t *testing.T) {
 		{"noisy head downgrades", stable(3000), []float64{3000, 6000, 2000, 4000}, false, true},
 		{"noisy base downgrades", []float64{1000, 4000, 2500, 5000}, stable(6000), false, true},
 		{"too few samples", []float64{3000, 3001}, stable(4500), false, true},
+		// One outlier among six samples moves neither quartile, so it
+		// cannot downgrade a confident verdict to an advisory.
+		{"outlier still gates regression", stable(3000), outlier(4000), true, false},
+		{"outlier still gates pass", outlier(3000), stable(3050), false, false},
 		// Missing samples on either side are a hard failure, never an
 		// advisory pass: a deleted or silently skipped benchmark must not
 		// sail through the gate.

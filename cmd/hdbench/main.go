@@ -74,8 +74,7 @@ func telemetrySnapshot(seed int64) (*telemetryReport, error) {
 	ctx := context.Background()
 	s, err := hdsampler.New(ctx, hdsampler.LocalConn(db), hdsampler.Config{
 		Seed: seed, Slider: 0.9, K: 1000, UseHistory: true, ShuffleOrder: true,
-		Exec: hdsampler.ExecConfig{MaxInFlight: 16},
-		Obs:  &telemetry.WalkObserver{Tracer: tracer, Duration: walkHist},
+		Obs: &telemetry.WalkObserver{Tracer: tracer, Duration: walkHist},
 	})
 	if err != nil {
 		return nil, err

@@ -57,9 +57,9 @@ func main() {
 		addr         = flag.String("addr", ":8099", "listen address")
 		dataDir      = flag.String("data", "", "checkpoint directory for finished sample sets (empty = no persistence)")
 		maxJobs      = flag.Int("max-jobs", 4, "max concurrently running jobs")
-		hostRate     = flag.Float64("host-rate", 0, "per-host politeness budget in wire requests/sec (0 = unlimited)")
+		hostRate     = flag.Float64("host-rate", 0, "per-host politeness budget in queries/sec; one token admits a query, its retries and later answer pages included (0 = unlimited)")
 		hostBurst    = flag.Int("host-burst", 10, "politeness token bucket capacity")
-		hostInFlight = flag.Int("host-inflight", 0, "per-host AIMD concurrency ceiling for wire requests (0 = unlimited)")
+		hostInFlight = flag.Int("host-inflight", 0, "per-host fixed cap on queries in flight to the site (0 = unlimited)")
 		cacheCap     = flag.Int64("cache-entries", 0, fmt.Sprintf("memory budget per shared host history cache, in units of %d charged bytes: the least mean per-entry charge of a 1000-entry cache replaying the svc-html jobs over seeds 1-10, rounded down to 256 B, so N budgets what N entries held; row-bearing answers are evicted first (0 = unlimited)", cacheEntryBytes))
 		histDir      = flag.String("history-dir", "", "checkpoint directory for shared history caches: dumped on shutdown, warm-started on first use (empty = off)")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory: admissions fsynced before ack, progress checkpointed, interrupted jobs requeued on restart (empty = no durability)")

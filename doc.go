@@ -32,8 +32,8 @@
 //     the query path's only retry loop
 //   - internal/history — query memoization and inference
 //   - internal/queryexec — the query-execution layer every sampler routes
-//     through: an AIMD adaptive concurrency limiter with an aggregate
-//     per-host rate budget (Config.Exec tunes it)
+//     through: a fixed concurrency cap with an aggregate per-host rate
+//     budget (Config.Exec tunes it)
 //   - internal/core — the samplers, rejection, and Draw: the one draw
 //     loop, with live counters and cancellation as its kill switch
 //   - internal/jobsvc — the sampling job-orchestration service behind

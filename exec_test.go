@@ -14,6 +14,7 @@ import (
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/queryexec"
+	"hdsampler/internal/telemetry"
 	"hdsampler/internal/webform"
 )
 
@@ -37,7 +38,7 @@ func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB,
 }
 
 // TestDrawParallelExecOverAPI drives an 8-replica draw through the
-// execution layer, under an AIMD ceiling, over the JSON API connector
+// execution layer, under a fixed cap, over the JSON API connector
 // with the history cache disabled: every sample arrives, and both the
 // replicas' logical query bill and the site's wire traffic are nonzero.
 func TestDrawParallelExecOverAPI(t *testing.T) {
@@ -92,34 +93,6 @@ func TestDrawParallelAggregateRateBounded(t *testing.T) {
 	if elapsed < minWall/2 {
 		t.Fatalf("%d wire requests in %v: aggregate rate %.0f/s blows the %g/s budget",
 			wire, elapsed, float64(wire)/elapsed.Seconds(), rate)
-	}
-}
-
-// TestReplicaSetExecStats covers the layer's stat plumbing: replicas
-// drawing through a Stack's conn land their queries on its executor, one
-// wire call each.
-func TestReplicaSetExecStats(t *testing.T) {
-	ds := datagen.Vehicles(1500, 9)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStack(LocalConn(db), queryexec.Options{}, nil)
-	rs, err := NewReplicaSet(context.Background(), st.Conn(), Config{
-		Seed: 11, ShuffleOrder: true,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rs.Draw(context.Background(), 40); err != nil {
-		t.Fatal(err)
-	}
-	xs := st.ExecStats()
-	if xs.Queries == 0 {
-		t.Fatal("executor saw no queries")
-	}
-	if xs.WireCalls != xs.Queries {
-		t.Fatalf("wire calls %d, logical queries %d; want them equal", xs.WireCalls, xs.Queries)
 	}
 }
 
@@ -217,7 +190,7 @@ func TestDrawParallelRetriesArePerCall(t *testing.T) {
 
 // TestPersistent503CostsOneBudget: against a site whose search endpoint
 // always answers 503, one query through the default stack costs one
-// budget of formclient.MaxAttempts requests and one wire call of the
+// budget of formclient.MaxAttempts requests and one pass through the
 // execution layer, then surfaces ErrTransient — over both connectors.
 func TestPersistent503CostsOneBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -243,7 +216,8 @@ func TestPersistent503CostsOneBudget(t *testing.T) {
 			}))
 			t.Cleanup(srv.Close)
 
-			st := NewStack(tc.dial(srv.URL), queryexec.Options{}, nil)
+			exec := &telemetry.Histogram{}
+			st := NewStack(tc.dial(srv.URL), queryexec.Options{ExecLatency: exec}, nil)
 			_, err = st.Conn().Execute(context.Background(), hiddendb.EmptyQuery())
 			if !errors.Is(err, formclient.ErrTransient) {
 				t.Fatalf("err = %v, want ErrTransient", err)
@@ -251,8 +225,8 @@ func TestPersistent503CostsOneBudget(t *testing.T) {
 			if got := searches.Load(); got != formclient.MaxAttempts {
 				t.Fatalf("site saw %d search requests, want %d", got, formclient.MaxAttempts)
 			}
-			if got := st.ExecStats().WireCalls; got != 1 {
-				t.Fatalf("execution layer counted %d wire calls, want 1", got)
+			if got := exec.Snapshot().Count; got != 1 {
+				t.Fatalf("execution layer timed %d queries, want 1", got)
 			}
 		})
 	}

@@ -34,9 +34,6 @@ type (
 	Estimate = estimate.Estimate
 	// Marginal is a sampled attribute histogram.
 	Marginal = estimate.Marginal
-	// ExecStats counts the query-execution layer's queries and wire
-	// calls.
-	ExecStats = queryexec.Stats
 )
 
 // Method selects the sampling algorithm.
@@ -69,18 +66,18 @@ func (m Method) String() string {
 }
 
 // ExecConfig tunes the query-execution layer (internal/queryexec) every
-// sampler draws through: AIMD-adaptive concurrency limiting shared by
-// every replica on the connector. Retries are the connector's own, within
-// formclient.MaxAttempts per request.
+// sampler draws through: a fixed concurrency cap and a rate meter shared
+// by every replica on the connector. Retries are the connector's own,
+// within formclient.MaxAttempts per request.
 type ExecConfig struct {
-	// MaxInFlight caps concurrent wire requests across all replicas: the
-	// AIMD ceiling, additively raised on clean responses and
-	// multiplicatively cut on 429 pushback. 0 disables concurrency
-	// limiting.
+	// MaxInFlight caps the queries in flight to the connector across all
+	// replicas: a fixed cap. 0 disables concurrency limiting.
 	MaxInFlight int
-	// RatePerSec caps the replicas' aggregate wire request rate: the one
+	// RatePerSec caps the replicas' aggregate query rate: the one
 	// per-host pacing knob, bounding the sum over every replica sharing
-	// the connector. 0 disables.
+	// the connector. The meter admits one token per query; the
+	// connector's retries and a paginated answer's later pages ride on
+	// that admission. 0 disables.
 	RatePerSec float64
 	// Burst is the rate cap's token bucket capacity (default 10).
 	Burst int
@@ -282,9 +279,6 @@ func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 func statsOf(c core.Counts) Stats {
 	return Stats{Candidates: c.Candidates, Accepted: c.Accepted, Rejected: c.Rejected, Queries: c.Queries}
 }
-
-// ExecStats returns the execution layer's counters.
-func (s *Sampler) ExecStats() ExecStats { return s.stack.ExecStats() }
 
 // HistoryStats returns (saved, issued) query counts when UseHistory is on.
 func (s *Sampler) HistoryStats() (saved, issued int64) {

@@ -279,7 +279,7 @@ func TestJapaneseMakeIndexes(t *testing.T) {
 
 func TestMakeModelsBounds(t *testing.T) {
 	total := 0
-	for mk := 0; mk < NumMakes(); mk++ {
+	for mk := 0; mk < len(vehMakes); mk++ {
 		lo, hi := MakeModels(mk)
 		if lo != total {
 			t.Fatalf("make %d offset = %d, want %d", mk, lo, total)

@@ -267,6 +267,3 @@ func MakeModels(mk int) (lo, hi int) {
 	}
 	return -1, -1
 }
-
-// NumMakes returns the number of manufacturers in the Vehicles schema.
-func NumMakes() int { return len(vehMakes) }

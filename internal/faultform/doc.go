@@ -10,12 +10,14 @@
 //
 //	sampler → history.Cache → queryexec.Executor → faultform → formclient.Local
 //
-// which makes queryexec's AIMD limiter, the connector's retry loop, and
-// the samplers' liveness properties testable without a flaky network.
+// which makes queryexec's admission limiter, the connector's retry loop,
+// and the samplers' liveness properties testable without a flaky network.
 // 429 bursts and transient blips play out the way formclient.HTTP
 // experiences them: inside one emulated retry loop of
 // formclient.MaxAttempts attempts per execution, 429s first, each retry
 // surfacing as a RateLimitRetries or TransientRetries advance, and
-// ErrRateLimited or ErrTransient past the budget. Its one user is the
-// scenario matrix's fault axis.
+// ErrRateLimited or ErrTransient past the budget. It does not play the
+// connector's 429 retry lane: its 429s are drawn per query, not from a
+// token bucket the concurrent queries share, so nothing races for a
+// token. Its one user is the scenario matrix's fault axis.
 package faultform

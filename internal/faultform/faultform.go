@@ -26,11 +26,11 @@ type Profile struct {
 	//
 	// Both bursts play out inside the emulated formclient.HTTP retry
 	// loop: one budget of formclient.MaxAttempts attempts per execution,
-	// 429s first. A retried 429 advances Stats().RateLimitRetries, the
-	// counter the AIMD limiter watches, and a retried blip advances
-	// Stats().TransientRetries. Faults past the budget surface as
-	// formclient.ErrRateLimited or formclient.ErrTransient; the burst
-	// left over is served to the query's next execution.
+	// 429s first. A retried 429 advances Stats().RateLimitRetries and a
+	// retried blip advances Stats().TransientRetries. Faults past the
+	// budget surface as formclient.ErrRateLimited or
+	// formclient.ErrTransient; the burst left over is served to the
+	// query's next execution.
 	RateLimitProb  float64
 	RateLimitBurst int
 	TransientProb  float64
@@ -53,18 +53,16 @@ type Profile struct {
 	CountRoundTo int
 
 	// SlowStartCalls delays each of the first N executions by
-	// SlowStartLatency — a cold site warming up. Latency, when set, delays
-	// every execution. The emulated retries within one execution are not
-	// delayed again.
+	// SlowStartLatency — a cold site warming up. The emulated retries
+	// within one execution are not delayed again.
 	SlowStartCalls   int
 	SlowStartLatency time.Duration
-	Latency          time.Duration
 }
 
 // Active reports whether the profile injects anything at all.
 func (p Profile) Active() bool {
 	return p.RateLimitProb > 0 || p.TransientProb > 0 || p.TopKJitter > 0 ||
-		p.Reorder || p.CountRoundTo > 1 || p.SlowStartCalls > 0 || p.Latency > 0
+		p.Reorder || p.CountRoundTo > 1 || p.SlowStartCalls > 0
 }
 
 // Presets returns the named fault profiles of the scenario matrix's fault
@@ -74,8 +72,8 @@ func Presets() []Profile {
 		{Name: "none"},
 		{
 			// Availability faults only: the interface answers correctly but
-			// rudely. Exercises AIMD backoff and the client's retry of 429s
-			// and blips without touching content.
+			// rudely. Exercises the client's retry of 429s and blips
+			// without touching content.
 			Name:          "flaky",
 			RateLimitProb: 0.05, RateLimitBurst: 2,
 			TransientProb: 0.04, TransientBurst: 1,
@@ -125,7 +123,7 @@ type Stats struct {
 	Jittered      int64 `json:"jittered"`
 	Reordered     int64 `json:"reordered"`
 	RoundedCounts int64 `json:"rounded_counts"`
-	// SlowCalls counts executions delayed by slow-start or latency.
+	// SlowCalls counts executions delayed by slow start.
 	SlowCalls int64 `json:"slow_calls"`
 }
 
@@ -247,7 +245,7 @@ func (c *Conn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 }
 
 // preflight emulates the wire-level fault sequence of one logical
-// execution identified by a signature hash: latency, then
+// execution identified by a signature hash: slow start, then
 // formclient.HTTP's retry loop over the query's 429 burst and then its
 // blips, within one budget of formclient.MaxAttempts attempts.
 func (c *Conn) preflight(ctx context.Context, hash uint64, key string) error {
@@ -255,12 +253,6 @@ func (c *Conn) preflight(ctx context.Context, hash uint64, key string) error {
 	if c.profile.SlowStartCalls > 0 && n <= int64(c.profile.SlowStartCalls) {
 		c.sSlow.Add(1)
 		if err := c.sleep(ctx, c.profile.SlowStartLatency); err != nil {
-			return err
-		}
-	}
-	if d := c.profile.Latency; d > 0 {
-		c.sSlow.Add(1)
-		if err := c.sleep(ctx, d); err != nil {
 			return err
 		}
 	}

@@ -69,9 +69,8 @@ func TestRateLimitBurstAbsorbedByEmulatedRetries(t *testing.T) {
 	if st.RateLimited != 2 {
 		t.Fatalf("RateLimited = %d, want 2", st.RateLimited)
 	}
-	// The AIMD limiter watches the connector's retry counter: injected
-	// 429s must advance it exactly like formclient.HTTP's internal
-	// retries do.
+	// Injected 429s must advance the connector's retry counter exactly
+	// like formclient.HTTP's internal retries do.
 	if adv := conn.Stats().RateLimitRetries - before; adv != 2 {
 		t.Fatalf("RateLimitRetries advanced by %d, want 2", adv)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,6 +242,55 @@ func TestHTTPRateLimitExhaustion(t *testing.T) {
 	_, err := conn.Execute(ctx, hiddendb.EmptyQuery())
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("want ErrRateLimited, got %v", err)
+	}
+}
+
+// TestHTTPRateLimitedRetriesQueueInLane: while one request waits out a
+// 429, a second request on the same connector queues behind the retry
+// lane instead of racing it for the site's next token. Once the first
+// succeeds the second goes out, and each costs the site what it must.
+func TestHTTPRateLimitedRetriesQueueInLane(t *testing.T) {
+	site := webform.NewServer(vehiclesDB(t, 50, 10, hiddendb.CountNone), webform.Options{})
+	var searches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/search" && searches.Add(1) == 1 {
+			w.Header().Set("X-Retry-After-Ms", "1")
+			http.Error(w, "query rate limit exceeded", http.StatusTooManyRequests)
+			return
+		}
+		site.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	sleeping, wake := make(chan struct{}), make(chan struct{})
+	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), Sleep: func(ctx context.Context, d time.Duration) error {
+		close(sleeping) // only the first search is refused
+		<-wake
+		return nil
+	}})
+	ctx := context.Background()
+	if _, err := conn.Schema(ctx); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	run := func() {
+		_, err := conn.Execute(ctx, hiddendb.EmptyQuery())
+		errs <- err
+	}
+	go run()
+	<-sleeping // the first request holds the lane
+	go run()
+	time.Sleep(20 * time.Millisecond)
+	if n := searches.Load(); n != 1 {
+		t.Fatalf("site saw %d searches while the lane was held, want 1", n)
+	}
+	close(wake)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, st := searches.Load(), conn.Stats(); n != 3 || st.RateLimitRetries != 1 {
+		t.Fatalf("site saw %d searches and the connector retried %d 429s; want 3 and 1", n, st.RateLimitRetries)
 	}
 }
 

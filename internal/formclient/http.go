@@ -62,6 +62,7 @@ type HTTP struct {
 
 	mu     sync.Mutex
 	schema *hiddendb.Schema
+	lane   chan struct{} // the 429 retry lane; see get
 
 	queries    atomic.Int64
 	requests   atomic.Int64
@@ -79,7 +80,7 @@ func NewHTTP(baseURL string, opts HTTPOptions) *HTTP {
 	if opts.Sleep == nil {
 		opts.Sleep = sleepCtx
 	}
-	return &HTTP{base: strings.TrimRight(baseURL, "/"), opts: opts}
+	return &HTTP{base: strings.TrimRight(baseURL, "/"), opts: opts, lane: make(chan struct{}, 1)}
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -99,15 +100,32 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // gets its own budget of MaxAttempts attempts.
 //
 // Two fault families are retried within the shared budget but counted
-// separately, because upper layers react differently: 429s are
-// congestion (the AIMD limiter backs off when RateLimitRetries advances),
-// while 5xx blips and timed-out requests are plain flakiness
-// (TransientRetries) that must not shrink the concurrency window. A
-// traced walk also counts each transient retry on its open level.
+// separately: 429s are the site's pushback (RateLimitRetries), waited
+// out for its Retry-After, while 5xx blips and timed-out requests are
+// plain flakiness (TransientRetries), which Stats.QueriesRetried
+// reports. A traced walk also counts each transient retry on its open
+// level.
+//
+// A request answered 429 holds the connector's lane until it returns, and
+// a new request queues behind the lane. So requests woken by one
+// Retry-After retry one at a time, in the order the site refused them,
+// instead of racing for its next token and losing whole budgets.
 func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 	var lastWait time.Duration
 	var retrying *atomic.Int64 // counter to bump when the next attempt starts
 	var budgetErr error        // error surfaced when the retry budget runs out
+	inLane := false
+	defer func() {
+		if inLane {
+			<-h.lane
+		}
+	}()
+	if len(h.lane) > 0 { // leave the site's next token to the lane
+		if err := h.enterLane(ctx); err != nil {
+			return nil, err
+		}
+		<-h.lane
+	}
 	for attempt := 0; attempt < MaxAttempts; attempt++ {
 		if attempt > 0 {
 			retrying.Add(1)
@@ -145,6 +163,12 @@ func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 		case http.StatusTooManyRequests:
 			retrying, budgetErr = &h.retries, fmt.Errorf("%w: %s", ErrRateLimited, u)
 			lastWait = retryWait(resp)
+			if !inLane {
+				if err := h.enterLane(ctx); err != nil {
+					return nil, err
+				}
+				inLane = true
+			}
 			continue
 		case http.StatusInternalServerError, http.StatusBadGateway,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -158,6 +182,16 @@ func (h *HTTP) get(ctx context.Context, u string) ([]byte, error) {
 		}
 	}
 	return nil, budgetErr
+}
+
+// enterLane blocks until the caller holds the connector's lane.
+func (h *HTTP) enterLane(ctx context.Context) error {
+	select {
+	case h.lane <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // isTimeout reports whether a transport error is a timeout (as opposed to

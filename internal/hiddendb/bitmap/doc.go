@@ -25,11 +25,10 @@
 // against another array spread into the result container's spare word
 // block, unless that array is over 64 times larger and is galloped.
 //
-// The package is allocation-disciplined: IntersectInto, Or and AndNot
-// write into a caller-owned destination Bitmap whose container storage
-// is recycled across calls (Reset keeps capacity), so a pooled
-// destination makes repeated intersections allocation-free at steady
-// state.
+// The package is allocation-disciplined: IntersectInto writes into a
+// caller-owned destination Bitmap whose container storage is recycled
+// across calls (Reset keeps capacity), so a pooled destination makes
+// repeated intersections allocation-free at steady state.
 //
 // Rank/select are first-class: Select(i) returns the i-th smallest
 // value in O(#containers + 64), Rank(x) counts values below x, and

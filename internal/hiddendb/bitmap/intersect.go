@@ -27,13 +27,6 @@ func IntersectInto(dst *Bitmap, srcs []*Bitmap, limit int, needAll bool) int {
 	return int(dst.card)
 }
 
-// AndCardinality returns the exact cardinality of the intersection of
-// srcs, using dst as scratch (its contents afterwards are the full
-// intersection, as IntersectInto with needAll).
-func AndCardinality(dst *Bitmap, srcs []*Bitmap) int {
-	return IntersectInto(dst, srcs, 0, true)
-}
-
 // orderByCard sorts bitmaps by ascending cardinality in place. The list
 // is tiny (one entry per query predicate), so insertion sort avoids the
 // sort.Slice closure.

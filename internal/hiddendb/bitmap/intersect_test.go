@@ -110,9 +110,6 @@ func TestIntersectInto(t *testing.T) {
 				t.Fatalf("case %d: value[%d] = %d, want %d", ci, i, vals[i], want[i])
 			}
 		}
-		if c := AndCardinality(New(), bms); c != len(want) {
-			t.Fatalf("case %d: AndCardinality %d, want %d", ci, c, len(want))
-		}
 	}
 }
 
@@ -184,62 +181,6 @@ func TestIntersectAllocFree(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("steady-state IntersectInto allocated %.1f per call, want 0", n)
 	}
-}
-
-func TestOrAndNot(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for round := 0; round < 4; round++ {
-		refs, bms := genSets(rng, 1<<19, 4000+round*10000, 50000)
-		ra, rb := refs[0], refs[1]
-		inB := make(map[uint32]bool, len(rb))
-		for _, v := range rb {
-			inB[v] = true
-		}
-		union := append([]uint32{}, ra...)
-		for _, v := range rb {
-			if !containsSorted(ra, v) {
-				union = append(union, v)
-			}
-		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-		diff := make([]uint32, 0, len(ra))
-		for _, v := range ra {
-			if !inB[v] {
-				diff = append(diff, v)
-			}
-		}
-
-		dst := New()
-		if got := Or(dst, bms[0], bms[1]); got != len(union) {
-			t.Fatalf("round %d: Or cardinality %d, want %d", round, got, len(union))
-		}
-		if vals := collect(dst); !equalU32(vals, union) {
-			t.Fatalf("round %d: Or contents diverge", round)
-		}
-		if got := AndNot(dst, bms[0], bms[1]); got != len(diff) {
-			t.Fatalf("round %d: AndNot cardinality %d, want %d", round, got, len(diff))
-		}
-		if vals := collect(dst); !equalU32(vals, diff) {
-			t.Fatalf("round %d: AndNot contents diverge", round)
-		}
-	}
-}
-
-func containsSorted(s []uint32, v uint32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // foldKind names the container shapes one key's fold pairs: the seed's

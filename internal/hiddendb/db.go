@@ -203,10 +203,6 @@ func (db *DB) Size() int { return len(db.tuples) }
 // QueriesServed returns the number of queries answered so far.
 func (db *DB) QueriesServed() int64 { return db.queries.Load() }
 
-// ResetBudget reopens a budget-exhausted database (used between experiment
-// runs that share a server).
-func (db *DB) ResetBudget() { db.queries.Store(0) }
-
 // Execute answers one conjunctive query through the restricted interface:
 // the top-k matches in rank order, the overflow flag, and a count according
 // to the configured CountMode. It is ExecuteRows with an overflowing

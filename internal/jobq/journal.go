@@ -22,9 +22,6 @@ type Options struct {
 	// CompactEvery is the record count between automatic snapshot+
 	// truncate compactions (default 4096; negative disables).
 	CompactEvery int
-	// MaxRecordBytes bounds one record payload (default 64 MiB); replay
-	// treats a larger length field as the torn tail.
-	MaxRecordBytes int
 	// Logger receives degradation and replay warnings; nil uses
 	// slog.Default.
 	Logger *slog.Logger
@@ -129,9 +126,6 @@ func Open(dir string, opts Options) (*Journal, *Replay, error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = 4096
 	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = 64 << 20
-	}
 	j := &Journal{
 		dir:   dir,
 		fs:    opts.FS,
@@ -212,7 +206,7 @@ func (j *Journal) replay() (*Replay, error) {
 		if err != nil {
 			return nil, err
 		}
-		valid, torn := decodeFrames(data, j.opts.MaxRecordBytes, func(rec *record) {
+		valid, torn := decodeFrames(data, func(rec *record) {
 			_ = j.table.apply(rec, false)
 			rep.Records++
 		})

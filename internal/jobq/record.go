@@ -262,11 +262,15 @@ func encodeFrame(buf []byte, rec *record) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
+// maxRecordBytes bounds one record payload: replay treats a larger
+// length field as the torn tail, so a garbage length cannot allocate
+// gigabytes.
+const maxRecordBytes = 64 << 20
+
 // decodeFrames walks data, invoking fn per valid record, and returns the
 // byte offset of the valid prefix plus whether a torn/corrupt tail was
-// cut. maxRecord bounds a single payload (a garbage length field must
-// not allocate gigabytes).
-func decodeFrames(data []byte, maxRecord int, fn func(*record)) (valid int64, torn bool) {
+// cut.
+func decodeFrames(data []byte, fn func(*record)) (valid int64, torn bool) {
 	off := 0
 	for {
 		if off == len(data) {
@@ -277,7 +281,7 @@ func decodeFrames(data []byte, maxRecord int, fn func(*record)) (valid int64, to
 		}
 		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n < 0 || n > maxRecord || off+frameHeader+n > len(data) {
+		if n < 0 || n > maxRecordBytes || off+frameHeader+n > len(data) {
 			return int64(off), true
 		}
 		payload := data[off+frameHeader : off+frameHeader+n]

@@ -9,9 +9,9 @@ import (
 	"hdsampler/internal/hiddendb"
 )
 
-// The per-host politeness budget and concurrency bound live in the
+// The per-host politeness budget and concurrency cap live in the
 // queryexec layer (see hostEntry in manager.go): every stack on one host
-// shares one AIMD limiter, which bounds the *aggregate* request stream —
+// shares one limiter, which bounds the *aggregate* request stream —
 // unlike per-goroutine politeness sleeps, which let N workers together
 // exceed the configured rate N-fold.
 

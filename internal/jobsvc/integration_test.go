@@ -198,9 +198,9 @@ func TestDaemonIntegration(t *testing.T) {
 		`hdsamplerd_jobs{state="canceled"} 1`,
 		"hdsamplerd_queries_total",
 		fmt.Sprintf("hdsamplerd_host_cache_saved_total{host=%q}", hosts[0].Host),
-		fmt.Sprintf("hdsamplerd_host_exec_wire_calls_total{host=%q}", hosts[0].Host),
+		fmt.Sprintf("hdsamplerd_host_exec_latency_seconds_count{host=%q}", hosts[0].Host),
 		fmt.Sprintf("hdsamplerd_host_exec_in_flight{host=%q}", hosts[0].Host),
-		fmt.Sprintf("hdsamplerd_host_exec_concurrency_limit{host=%q}", hosts[0].Host),
+		fmt.Sprintf("hdsamplerd_host_throttled_total{host=%q}", hosts[0].Host),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

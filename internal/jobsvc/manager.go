@@ -37,15 +37,15 @@ type Config struct {
 	// Default 4.
 	MaxConcurrent int
 	// HostRatePerSec is the per-host politeness budget: all jobs hitting
-	// one host together issue at most this many real wire requests per
-	// second. 0 disables throttling.
+	// one host together send at most this many queries per second to the
+	// connectors. The meter admits one token per query; a connector's
+	// retries and a paginated answer's later pages ride on that
+	// admission. 0 disables throttling.
 	HostRatePerSec float64
 	// HostBurst is the politeness token bucket capacity (default 10).
 	HostBurst int
-	// HostMaxInFlight caps concurrent wire requests per host: the AIMD
-	// adaptive-concurrency ceiling, additively raised on clean responses
-	// and multiplicatively cut on 429 pushback. 0 disables concurrency
-	// limiting.
+	// HostMaxInFlight is a fixed cap on the queries in flight to each
+	// host's connectors. 0 disables concurrency limiting.
 	HostMaxInFlight int
 	// CacheMaxBytes caps the charged bytes of each shared per-host
 	// history cache (0 = unlimited).
@@ -140,8 +140,8 @@ type Manager struct {
 }
 
 // hostEntry keeps a host's targets and the options every stack on the
-// host is built with: the shared admission limiter (rate + AIMD
-// concurrency), the host's registry-backed wire, execution and cache
+// host is built with: the shared admission limiter (rate meter + fixed
+// concurrency cap), the host's registry-backed wire, execution and cache
 // lookup histograms, and the cache cap.
 type hostEntry struct {
 	host string
@@ -1168,18 +1168,14 @@ type HostStats struct {
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	Throttled int64 `json:"throttled"`
-	// WireCalls sums the queries the host's execution layers sent to the
-	// connectors, one per query. TransientRetries counts the requests the
-	// host's connectors repeated after transient interface faults.
-	WireCalls        int64 `json:"wire_calls"`
+	// RateLimitRetries counts the requests the host's connectors repeated
+	// after the site's 429 pushback, TransientRetries those repeated after
+	// transient interface faults.
+	RateLimitRetries int64 `json:"rate_limit_retries"`
 	TransientRetries int64 `json:"transient_retries"`
-	// InFlight and Limit snapshot the host's admission controller: wire
-	// requests currently running and the AIMD concurrency window (0 when
-	// concurrency limiting is off). Backoffs counts 429-pushback window
-	// cuts.
-	InFlight int     `json:"in_flight"`
-	Limit    float64 `json:"limit"`
-	Backoffs int64   `json:"backoffs"`
+	// InFlight snapshots the host's admission controller: the queries
+	// currently admitted to the connectors.
+	InFlight int `json:"in_flight"`
 	// ShardBalance summarizes per-shard entry counts across the host's
 	// caches: CV 0 means the shards carry identical load.
 	ShardBalance metrics.Summary `json:"shard_balance"`
@@ -1201,9 +1197,7 @@ func (m *Manager) Hosts() []HostStats {
 		hs := HostStats{Host: he.host}
 		if l := he.exec.Limiter; l != nil {
 			hs.Throttled = l.Waits()
-			hs.Backoffs = l.Backoffs()
 			hs.InFlight = l.InFlight()
-			hs.Limit = l.Limit()
 		}
 		var shardLoads []float64
 		he.mu.Lock()
@@ -1211,9 +1205,10 @@ func (m *Manager) Hosts() []HostStats {
 		for _, tg := range he.targets {
 			// A target's stacks share its base conn, whose retries are
 			// counted once.
-			hs.TransientRetries += tg.base.Stats().TransientRetries
+			bs := tg.base.Stats()
+			hs.RateLimitRetries += bs.RateLimitRetries
+			hs.TransientRetries += bs.TransientRetries
 			for _, st := range tg.stacks {
-				hs.WireCalls += st.ExecStats().WireCalls
 				if c := st.Cache(); c != nil {
 					caches = append(caches, c)
 				}

@@ -3,6 +3,7 @@ package jobsvc
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -272,13 +273,60 @@ func TestPolitenessThrottleCounts(t *testing.T) {
 	}
 }
 
+// TestCapSurvivesRateLimitedSite runs a 4-worker job through a fixed cap
+// of 2 against a site that answers 429 past 20 queries/s, with no rate
+// meter to keep the stack under it. Both admitted queries keep meeting
+// the site's empty token bucket and wait out the same Retry-After; the
+// job must still complete, every query inside the connector's budget.
+func TestCapSurvivesRateLimitedSite(t *testing.T) {
+	ds := datagen.Vehicles(50000, 1)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-token bucket pushes back even when the race detector slows
+	// the workers below 20 queries/s.
+	srv := httptest.NewServer(webform.NewServer(db, webform.Options{RatePerSec: 20, Burst: 1}))
+	t.Cleanup(srv.Close)
+	m := newTestManager(t, srv, Config{HostMaxInFlight: 2})
+	v, err := m.Submit(Spec{URL: srv.URL, N: 60, Workers: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitJob(t, m, v.ID, 120*time.Second, func(v View) bool { return v.State.Terminal() })
+	if v.State != StateCompleted {
+		t.Fatalf("job against a rate-limited site: %+v", v)
+	}
+	if n := m.Hosts()[0].RateLimitRetries; n == 0 {
+		t.Fatal("the site never pushed back: the test exercises nothing")
+	}
+}
+
 // TestExecLayerSharedAcrossWorkers drives a replica pool through the
 // daemon's shared execution layer: the host's traffic goes through it,
-// its AIMD window stays within the configured ceiling, and every
+// its fixed cap bounds the requests the site serves at once, and every
 // admission slot is released once the job ends.
 func TestExecLayerSharedAcrossWorkers(t *testing.T) {
-	_, srv := newTarget(t, 1500, 200, hiddendb.CountNone)
-	m := newTestManager(t, srv, Config{HostMaxInFlight: 8})
+	ds := datagen.Vehicles(1500, 21)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := webform.NewServer(db, webform.Options{})
+	var cur, peak atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/search" {
+			n := cur.Add(1)
+			defer cur.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond) // let concurrent requests overlap
+		}
+		site.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	const limit = 3
+	m := newTestManager(t, srv, Config{HostMaxInFlight: limit})
 	v, err := m.Submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 48, Workers: 8, Seed: 9, NoHistory: true})
 	if err != nil {
 		t.Fatal(err)
@@ -291,12 +339,11 @@ func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 	if len(hosts) != 1 {
 		t.Fatalf("hosts = %d", len(hosts))
 	}
-	hs := hosts[0]
-	if hs.WireCalls == 0 {
-		t.Fatalf("execution layer idle: %+v", hs)
+	if n := m.execHist.With(hosts[0].Host).Snapshot().Count; n == 0 {
+		t.Fatalf("execution layer idle: %+v", hosts[0])
 	}
-	if hs.Limit <= 0 || hs.Limit > 8 {
-		t.Fatalf("AIMD window = %g, want in (0, 8]", hs.Limit)
+	if p := peak.Load(); p == 0 || p > limit {
+		t.Fatalf("site served %d searches at once, want 1..%d", p, limit)
 	}
 	// A cancelled worker's wire call may still be unwinding right after
 	// the job turns terminal; the gauge must settle to zero, not leak

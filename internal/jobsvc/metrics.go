@@ -73,14 +73,10 @@ func (m *Manager) registerMetrics() {
 		func(h HostStats) float64 { return h.ShardBalance.CV })
 	perHost("hdsamplerd_host_throttled_total", "Queries delayed by the per-host politeness budget.", true,
 		func(h HostStats) float64 { return float64(h.Throttled) })
-	perHost("hdsamplerd_host_exec_wire_calls_total", "Queries the execution layer sent to the connector, one per query; the connector's retries are not counted.", true,
-		func(h HostStats) float64 { return float64(h.WireCalls) })
-	perHost("hdsamplerd_host_exec_in_flight", "Wire requests currently running against each host.", false,
+	perHost("hdsamplerd_host_exec_in_flight", "Queries currently admitted to each host's connectors.", false,
 		func(h HostStats) float64 { return float64(h.InFlight) })
-	perHost("hdsamplerd_host_exec_concurrency_limit", "Current AIMD concurrency window per host (0 = unlimited).", false,
-		func(h HostStats) float64 { return h.Limit })
-	perHost("hdsamplerd_host_exec_backoffs_total", "Multiplicative window cuts after 429 pushback.", true,
-		func(h HostStats) float64 { return float64(h.Backoffs) })
+	perHost("hdsamplerd_host_exec_rate_limit_retries_total", "Requests the connectors repeated after the site's 429 pushback.", true,
+		func(h HostStats) float64 { return float64(h.RateLimitRetries) })
 	perHost("hdsamplerd_host_exec_transient_retries_total", "Requests the connectors repeated after transient interface faults (5xx blips, timeouts).", true,
 		func(h HostStats) float64 { return float64(h.TransientRetries) })
 
@@ -113,7 +109,7 @@ func (m *Manager) registerMetrics() {
 	// Telemetry instruments: latency histograms plus tracing and slow-walk
 	// counters (the new observability surface).
 	m.wireHist = r.HistogramVec("hdsamplerd_host_wire_rtt_seconds",
-		"Wire round-trip latency of real interface requests, per host.", "host")
+		"Latency of one connector call per query, the connector's retries included, per host.", "host")
 	m.execHist = r.HistogramVec("hdsamplerd_host_exec_latency_seconds",
 		"Execution-layer latency per query (admission waits and the connector's retries included), per host.", "host")
 	m.cacheHist = r.HistogramVec("hdsamplerd_host_cache_lookup_seconds",

@@ -61,9 +61,9 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"hdsamplerd_queries_saved_total",
 		"hdsamplerd_host_cache_issued_total",
 		"hdsamplerd_host_cache_saved_total",
-		"hdsamplerd_host_exec_wire_calls_total",
+		"hdsamplerd_host_throttled_total",
 		"hdsamplerd_host_exec_in_flight",
-		"hdsamplerd_host_exec_concurrency_limit",
+		"hdsamplerd_host_exec_rate_limit_retries_total",
 		"hdsamplerd_host_exec_transient_retries_total",
 		"hdsamplerd_host_wire_rtt_seconds",
 		"hdsamplerd_host_exec_latency_seconds",

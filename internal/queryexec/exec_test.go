@@ -9,15 +9,18 @@ import (
 	"time"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
 )
 
-// slowConn wraps a Local conn, holding every Execute long enough for
-// concurrent queries to pile up at the limiter.
+// slowConn wraps a conn, holding every Execute long enough for
+// concurrent queries to pile up at the limiter: for delay, or, while hold
+// is set, until hold closes.
 type slowConn struct {
-	*formclient.Local
+	formclient.Conn
 	delay time.Duration
+	hold  chan struct{}
 	peak  atomic.Int64 // peak concurrent Executes
 	cur   atomic.Int64
 }
@@ -34,7 +37,10 @@ func (s *slowConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Res
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
-	return s.Local.Execute(ctx, q)
+	if s.hold != nil {
+		<-s.hold
+	}
+	return s.Conn.Execute(ctx, q)
 }
 
 func testDB(t testing.TB, n int) *hiddendb.DB {
@@ -80,48 +86,9 @@ func TestErrorsPropagateToAllWaiters(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLimiterAIMD(t *testing.T) {
-	l := NewLimiter(LimiterOptions{MaxInFlight: 8})
-	ctx := context.Background()
-	if got := l.Limit(); got != 8 {
-		t.Fatalf("initial limit = %g, want 8", got)
-	}
-	// Congestion: multiplicative decrease.
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	l.Release(false)
-	if got := l.Limit(); got != 4 {
-		t.Fatalf("limit after one backoff = %g, want 4", got)
-	}
-	if l.Backoffs() != 1 {
-		t.Fatalf("backoffs = %d, want 1", l.Backoffs())
-	}
-	// Recovery: additive increase, ~+1 per window of clean requests.
-	for i := 0; i < 64; i++ {
-		if err := l.Acquire(ctx); err != nil {
-			t.Fatal(err)
-		}
-		l.Release(true)
-	}
-	if got := l.Limit(); got <= 4 || got > 8 {
-		t.Fatalf("limit after recovery = %g, want in (4, 8]", got)
-	}
-	// The floor holds under repeated congestion.
-	for i := 0; i < 20; i++ {
-		if err := l.Acquire(ctx); err != nil {
-			t.Fatal(err)
-		}
-		l.Release(false)
-	}
-	if got := l.Limit(); got < 1 {
-		t.Fatalf("limit fell below the floor: %g", got)
-	}
-}
-
 func TestLimiterBoundsConcurrency(t *testing.T) {
 	db := testDB(t, 500)
-	inner := &slowConn{Local: formclient.NewLocal(db), delay: 5 * time.Millisecond}
+	inner := &slowConn{Conn: formclient.NewLocal(db), delay: 5 * time.Millisecond}
 	lim := NewLimiter(LimiterOptions{MaxInFlight: 3})
 	x := New(inner, Options{Limiter: lim})
 	ctx := context.Background()
@@ -160,18 +127,18 @@ func TestLimiterRateSpacing(t *testing.T) {
 	if err := l.Acquire(ctx); err != nil || len(slept) != 0 {
 		t.Fatalf("first acquire slept %v, err %v", slept, err)
 	}
-	l.Release(true)
+	l.Release()
 	// Same instant: one token of debt = 500ms at 2/s.
 	if err := l.Acquire(ctx); err != nil || len(slept) != 1 || slept[0] != 500*time.Millisecond {
 		t.Fatalf("second acquire slept %v, err %v", slept, err)
 	}
-	l.Release(true)
+	l.Release()
 	// After a second the bucket has refilled one token.
 	now = now.Add(time.Second)
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	l.Release(true)
+	l.Release()
 	if len(slept) != 1 {
 		t.Fatalf("refilled acquire slept again: %v", slept)
 	}
@@ -186,13 +153,115 @@ func TestLimiterCancelled(t *testing.T) {
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	l.Release(true)
+	l.Release()
 	cancel()
 	if err := l.Acquire(ctx); err == nil {
 		t.Fatal("acquire with cancelled context succeeded")
 	}
 	if l.InFlight() != 0 {
 		t.Fatalf("cancelled acquire leaked an in-flight slot: %d", l.InFlight())
+	}
+}
+
+// TestCapHoldsUnderPushback: the cap is fixed. After ten 429-hit
+// queries, eight concurrent slow queries still run four at a time
+// through MaxInFlight 4, and never more.
+func TestCapHoldsUnderPushback(t *testing.T) {
+	db := testDB(t, 500)
+	inner := &slowConn{Conn: faultform.Wrap(formclient.NewLocal(db), faultform.Profile{RateLimitProb: 1}, 1)}
+	lim := NewLimiter(LimiterOptions{MaxInFlight: 4})
+	x := New(inner, Options{Limiter: lim})
+	ctx := context.Background()
+	query := func(i int) hiddendb.Query {
+		return hiddendb.MustQuery(
+			hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i % 8},
+			hiddendb.Predicate{Attr: datagen.VehAttrYear, Value: i / 8})
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := x.Execute(ctx, query(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := x.Stats().RateLimitRetries; n != 20 {
+		t.Fatalf("connector retried %d 429s, want 20", n)
+	}
+
+	inner.hold = make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := x.Execute(ctx, query(16+i)); err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for inner.cur.Load() < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for an over-admission to show
+	close(inner.hold)
+	wg.Wait()
+	if peak := inner.peak.Load(); peak != 4 {
+		t.Fatalf("peak concurrency %d after 429 pushback, want the cap of 4", peak)
+	}
+	if n := lim.InFlight(); n != 0 {
+		t.Fatalf("in-flight after drain = %d, want 0", n)
+	}
+}
+
+// TestCancelledWaitLeaksNoSlot: a caller cancelled while waiting on a
+// full cap gets its context's error, and the slot it never held stays
+// free.
+func TestCancelledWaitLeaksNoSlot(t *testing.T) {
+	l := NewLimiter(LimiterOptions{MaxInFlight: 1})
+	bg := context.Background()
+	if err := l.Acquire(bg); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error)
+	go func() { done <- l.Acquire(ctx) }()
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
+	}
+	if n := l.InFlight(); n != 1 {
+		t.Fatalf("in-flight = %d, want the 1 admitted query", n)
+	}
+	l.Release()
+	// The cap's one slot is free again: a fresh caller is admitted at once.
+	ctx, cancel = context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if err := l.Acquire(ctx); err != nil {
+		t.Fatalf("acquire after a cancelled wait: %v", err)
+	}
+	l.Release()
+	if n := l.InFlight(); n != 0 {
+		t.Fatalf("in-flight after drain = %d, want 0", n)
+	}
+}
+
+// TestRateOnlyLimiterCountsInFlight: a limiter without a cap still
+// counts the queries it admitted.
+func TestRateOnlyLimiterCountsInFlight(t *testing.T) {
+	l := NewLimiter(LimiterOptions{RatePerSec: 1000, Burst: 5})
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if err := l.Acquire(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := l.InFlight(); n != 3 {
+		t.Fatalf("in-flight = %d, want 3", n)
+	}
+	for i := 0; i < 3; i++ {
+		l.Release()
+	}
+	if n := l.InFlight(); n != 0 {
+		t.Fatalf("in-flight after release = %d, want 0", n)
 	}
 }
 
@@ -222,7 +291,7 @@ func TestAggregateRateBounded(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				l.Release(true)
+				l.Release()
 			}
 		}()
 	}
@@ -270,7 +339,7 @@ func TestWantedRowsReachTheConnector(t *testing.T) {
 	if res, err := x.Execute(ctx, q); err != nil || !res.Overflow || len(res.Tuples) != 0 {
 		t.Fatalf("plain caller: %+v %v, want a row-less overflow", res, err)
 	}
-	if st := x.ExecStats(); st.Queries != 2 || st.WireCalls != 2 {
-		t.Fatalf("stats = %+v, want 2 queries and 2 wire calls", st)
+	if n := x.Stats().Queries; n != 2 {
+		t.Fatalf("connector answered %d queries, want 2", n)
 	}
 }

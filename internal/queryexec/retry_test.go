@@ -12,6 +12,7 @@ import (
 	"hdsampler/internal/faultform"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/telemetry"
 )
 
 // The execution layer retries nothing: 429s and blips are the connector's
@@ -50,13 +51,14 @@ func (b *blippyConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.R
 }
 
 // TestTransientRetryRecoversBlips: a blip burst within the connector's
-// budget costs one wire call through the layer, and the layer's AIMD
-// window ignores it, since blips are not congestion.
+// budget costs one connector call through the layer, and the admission
+// slot it held is back.
 func TestTransientRetryRecoversBlips(t *testing.T) {
 	db := testDB(t, 300)
 	inner := faultform.Wrap(formclient.NewLocal(db), faultform.Profile{TransientProb: 1, TransientBurst: 2}, 1)
 	lim := NewLimiter(LimiterOptions{MaxInFlight: 4})
-	x := New(inner, Options{Limiter: lim})
+	wire := &telemetry.Histogram{}
+	x := New(inner, Options{Limiter: lim, Wire: wire})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	res, err := x.Execute(context.Background(), q)
@@ -67,57 +69,59 @@ func TestTransientRetryRecoversBlips(t *testing.T) {
 	if len(res.Tuples) != len(want.Tuples) {
 		t.Fatalf("got %d tuples, want %d", len(res.Tuples), len(want.Tuples))
 	}
-	if st := x.ExecStats(); st.WireCalls != 1 {
-		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
+	if n := wire.Snapshot().Count; n != 1 {
+		t.Fatalf("connector calls = %d, want 1", n)
 	}
 	if st := x.Stats(); st.TransientRetries != 2 {
 		t.Fatalf("connector TransientRetries = %d, want 2", st.TransientRetries)
 	}
-	if b := lim.Backoffs(); b != 0 {
-		t.Fatalf("limiter backed off %d times on blips", b)
+	if n := lim.InFlight(); n != 0 {
+		t.Fatalf("in-flight after the call = %d, want 0", n)
 	}
 }
 
 // TestTransientRetryBudgetExhausts: past the connector's budget the blip
-// reaches the caller after formclient.MaxAttempts attempts and one wire
-// call through the layer.
+// reaches the caller after formclient.MaxAttempts attempts and one
+// connector call through the layer, and the admission slot is back.
 func TestTransientRetryBudgetExhausts(t *testing.T) {
 	db := testDB(t, 300)
 	inner := faultform.Wrap(formclient.NewLocal(db),
 		faultform.Profile{TransientProb: 1, TransientBurst: 2 * formclient.MaxAttempts}, 1)
 	lim := NewLimiter(LimiterOptions{MaxInFlight: 4})
-	x := New(inner, Options{Limiter: lim})
+	wire := &telemetry.Histogram{}
+	x := New(inner, Options{Limiter: lim, Wire: wire})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	_, err := x.Execute(context.Background(), q)
 	if !errors.Is(err, formclient.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	if st := x.ExecStats(); st.WireCalls != 1 {
-		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
+	if n := wire.Snapshot().Count; n != 1 {
+		t.Fatalf("connector calls = %d, want 1", n)
 	}
 	if got := inner.FaultStats().Transients; got != formclient.MaxAttempts {
 		t.Fatalf("site served %d blips, want %d (the connector's budget)", got, formclient.MaxAttempts)
 	}
-	if b := lim.Backoffs(); b != 0 {
-		t.Fatalf("limiter backed off %d times on blips", b)
+	if n := lim.InFlight(); n != 0 {
+		t.Fatalf("in-flight after the call = %d, want 0", n)
 	}
 }
 
 // TestTransientRetryDisabled: the layer adds no retry of its own, so a
-// connector that surfaces a blip at once costs one wire call and the blip
-// comes back to the caller.
+// connector that surfaces a blip at once costs one connector call and the
+// blip comes back to the caller.
 func TestTransientRetryDisabled(t *testing.T) {
 	db := testDB(t, 300)
 	inner := newBlippy(db, 1)
-	x := New(inner, Options{})
+	wire := &telemetry.Histogram{}
+	x := New(inner, Options{Wire: wire})
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2})
 
 	if _, err := x.Execute(context.Background(), q); !errors.Is(err, formclient.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	if st := x.ExecStats(); st.WireCalls != 1 {
-		t.Fatalf("WireCalls = %d, want 1", st.WireCalls)
+	if n := wire.Snapshot().Count; n != 1 {
+		t.Fatalf("connector calls = %d, want 1", n)
 	}
 	if got := inner.faults.Load(); got != 1 {
 		t.Fatalf("connector blipped %d times, want 1", got)

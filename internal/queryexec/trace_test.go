@@ -10,9 +10,9 @@ import (
 	"hdsampler/internal/telemetry"
 )
 
-// TestTraceMarksWireAndRetry: a traced query records its wire call and the
-// limiter's window at send time. Its retries are marked where they
-// happen, in the connector (formclient's TestTracedQueryCountsRetries).
+// TestTraceMarksWireAndRetry: a traced query records its wire call. Its
+// retries are marked where they happen, in the connector (formclient's
+// TestTracedQueryCountsRetries).
 func TestTraceMarksWireAndRetry(t *testing.T) {
 	db := testDB(t, 300)
 	lim := NewLimiter(LimiterOptions{MaxInFlight: 6})
@@ -33,7 +33,7 @@ func TestTraceMarksWireAndRetry(t *testing.T) {
 	if len(views) != 1 || len(views[0].Levels) != 1 {
 		t.Fatalf("dump = %+v, want one trace of one level", views)
 	}
-	if lv := views[0].Levels[0]; lv.Exec != "wire" || lv.AIMDLimit != 6 {
-		t.Fatalf("level = %+v, want exec=wire, aimd_limit=6", lv)
+	if lv := views[0].Levels[0]; lv.Exec != "wire" {
+		t.Fatalf("level = %+v, want exec=wire", lv)
 	}
 }

@@ -9,13 +9,12 @@
 //
 // Every cell runs the full production stack — replicas, each running the
 // one draw loop (core.Draw) on its own goroutine, over a shared history
-// cache over the query-execution layer (AIMD admission) over the faulted
-// connector, which plays formclient.HTTP's retry loop for 429s and blips
-// — so the matrix exercises exactly the code paths a live deployment
-// uses. Bias is gated only on
-// fault-free cells: content faults (jitter, reordering) legitimately
-// change the reachable distribution; there the matrix asserts liveness
-// and records the drift.
+// cache over the query-execution layer over the faulted connector, which
+// plays formclient.HTTP's retry loop for 429s and blips — so the matrix
+// exercises exactly the code paths a live deployment uses. Bias is gated
+// only on fault-free cells: content faults (jitter, reordering)
+// legitimately change the reachable distribution; there the matrix
+// asserts liveness and records the drift.
 //
 // cmd/hdbench exposes the matrix as `hdbench -matrix`, emitting the
 // machine-readable Report; CI runs it nightly as the bias-regression

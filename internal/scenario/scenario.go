@@ -48,16 +48,17 @@ type Config struct {
 	SamplesPerCell int
 	// Workers is the replica count each cell draws with.
 	Workers int
-	// BiasAlpha is the minimum chi-square p-value a fault-free cell must
-	// reach (default 1e-3): lower means the observed sample is measurably
-	// biased against the exact selection distribution.
-	BiasAlpha float64
 	// Datasets × Faults × Samplers is the grid; empty axes take the
 	// defaults (DefaultDatasets/DefaultFaults/DefaultSamplers).
 	Datasets []DatasetSpec
 	Faults   []faultform.Profile
 	Samplers []SamplerSpec
 }
+
+// biasAlpha is the minimum chi-square p-value a fault-free cell must
+// reach: lower means the observed sample is measurably biased against
+// the exact selection distribution.
+const biasAlpha = 1e-3
 
 // DefaultDatasets returns the standard dataset axis. small shrinks the
 // databases for PR-sized runs; nightly runs use the full shapes.
@@ -197,9 +198,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.BiasAlpha <= 0 {
-		cfg.BiasAlpha = 1e-3
-	}
 	if len(cfg.Datasets) == 0 {
 		cfg.Datasets = DefaultDatasets(true)
 	}
@@ -241,7 +239,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				cellSeed := cfg.Seed + int64(di)*1_000_003 + int64(fi)*10_007 + int64(si)*101
 				cell := runCell(ctx, cellParams{
 					seed: cellSeed, n: cfg.SamplesPerCell, workers: cfg.Workers,
-					alpha: cfg.BiasAlpha, ds: ds, fp: fp, sp: sp, db: db, dist: dists[si],
+					ds: ds, fp: fp, sp: sp, db: db, dist: dists[si],
 				})
 				rep.Cells = append(rep.Cells, cell)
 			}
@@ -255,7 +253,6 @@ type cellParams struct {
 	seed    int64
 	n       int
 	workers int
-	alpha   float64
 	ds      DatasetSpec
 	fp      faultform.Profile
 	sp      SamplerSpec
@@ -331,7 +328,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 		K:          p.ds.K,
 		Attrs:      scopeAttrs(p.db.Schema(), p.sp.Scope),
 		UseHistory: true,
-		Exec:       hdsampler.ExecConfig{MaxInFlight: 8},
 		Obs:        &telemetry.WalkObserver{Tracer: tracer, Duration: walkHist},
 	}
 	start := time.Now()
@@ -380,6 +376,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 	}
 	cell.KS = metrics.KSFromCounts(counts, want)
 	cell.BiasGated = !p.fp.Active()
-	cell.BiasOK = !cell.BiasGated || cell.ChiP >= p.alpha
+	cell.BiasOK = !cell.BiasGated || cell.ChiP >= biasAlpha
 	return cell
 }

@@ -25,9 +25,9 @@
 //   - WalkTraces are pooled. The Tracer recycles traces through a
 //     sync.Pool and a fixed-capacity ring buffer, so steady-state tracing
 //     allocates only when a trace's level slice first grows.
-//   - Expensive reads happen only on sampled walks: per-level latency,
-//     cache-lookup timing, and the AIMD limit (a mutex acquisition) are
-//     taken only when the walk carries a trace.
+//   - Expensive reads happen only on sampled walks: per-level latency
+//     and cache-lookup timing are taken only when the walk carries a
+//     trace.
 //
 // The contract is enforced by AllocsPerRun ceilings in alloc_test.go and
 // by BenchmarkTelemetryOverhead at the repo root, which drives the full

@@ -92,9 +92,6 @@ type LevelSpan struct {
 	Exec               ExecOutcome
 	// Retries counts transient wire retries spent on this query.
 	Retries int
-	// AIMDLimit is the shared limiter's window when the query hit the
-	// wire (0 when it never did, or limiting is disabled).
-	AIMDLimit float64
 	// Latency is the whole conn.Execute round trip as the walker saw it;
 	// CacheLatency is the history layer's share of it.
 	Latency, CacheLatency time.Duration
@@ -189,16 +186,6 @@ func (t *WalkTrace) AddRetry() {
 	}
 	if s := t.cur(); s != nil {
 		s.Retries++
-	}
-}
-
-// SetAIMDLimit records the limiter window at wire-send time.
-func (t *WalkTrace) SetAIMDLimit(limit float64) {
-	if t == nil {
-		return
-	}
-	if s := t.cur(); s != nil {
-		s.AIMDLimit = limit
 	}
 }
 
@@ -409,7 +396,6 @@ type LevelView struct {
 	Cache     string  `json:"cache,omitempty"`
 	Exec      string  `json:"exec,omitempty"`
 	Retries   int     `json:"retries,omitempty"`
-	AIMDLimit float64 `json:"aimd_limit,omitempty"`
 	LatencyUS float64 `json:"latency_us"`
 	CacheUS   float64 `json:"cache_latency_us,omitempty"`
 }
@@ -460,7 +446,6 @@ func (t *WalkTrace) view() TraceView {
 				Value:     s.Value,
 				Outcome:   s.Outcome.String(),
 				Retries:   s.Retries,
-				AIMDLimit: s.AIMDLimit,
 				LatencyUS: float64(s.Latency) / float64(time.Microsecond),
 				CacheUS:   float64(s.CacheLatency) / float64(time.Microsecond),
 			}

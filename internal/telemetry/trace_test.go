@@ -138,7 +138,6 @@ func TestWalkTraceLevels(t *testing.T) {
 	w.BeginLevel(0, 0, 2, 7)
 	w.MarkCache(CacheMiss, 200*time.Nanosecond)
 	w.MarkExec(ExecWire)
-	w.SetAIMDLimit(6.5)
 	w.AddRetry()
 	w.EndLevel(LevelOverflow, 3*time.Millisecond)
 	w.BeginLevel(0, 1, 3, 1)
@@ -161,7 +160,7 @@ func TestWalkTraceLevels(t *testing.T) {
 	}
 	l0 := v.Levels[0]
 	if l0.Outcome != "overflow" || l0.Cache != "miss" || l0.Exec != "wire" ||
-		l0.Retries != 1 || l0.AIMDLimit != 6.5 || l0.Attr != 2 || l0.Value != 7 {
+		l0.Retries != 1 || l0.Attr != 2 || l0.Value != 7 {
 		t.Fatalf("level 0: %+v", l0)
 	}
 	l1 := v.Levels[1]
@@ -211,7 +210,6 @@ func TestFinishIdempotent(t *testing.T) {
 	nilW.MarkCache(CacheHit, 0)
 	nilW.MarkExec(ExecWire)
 	nilW.AddRetry()
-	nilW.SetAIMDLimit(1)
 }
 
 func TestOutcomeStrings(t *testing.T) {

@@ -150,10 +150,8 @@ func (s *Server) rateLimited(w http.ResponseWriter, r *http.Request) bool {
 	if ok {
 		return false
 	}
-	ms := wait.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
+	// Round up, so a client that honours the hint is never early.
+	ms := (wait + time.Millisecond - 1).Milliseconds()
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(wait.Seconds()))))
 	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(ms, 10))
 	http.Error(w, "query rate limit exceeded", http.StatusTooManyRequests)

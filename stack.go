@@ -17,7 +17,6 @@ import (
 // executor's admission controller.
 type Stack struct {
 	conn  Conn // the top layer: the cache when present, else the executor
-	exec  *queryexec.Executor
 	cache *history.Cache
 }
 
@@ -25,7 +24,7 @@ type Stack struct {
 // always present; the history cache is present iff hist is non-nil.
 func NewStack(conn Conn, exec queryexec.Options, hist *history.Options) *Stack {
 	x := queryexec.New(conn, exec)
-	st := &Stack{conn: x, exec: x}
+	st := &Stack{conn: x}
 	if hist != nil {
 		st.cache = history.New(x, *hist)
 		st.conn = st.cache
@@ -49,13 +48,10 @@ func (st *Stack) Conn() Conn { return st.conn }
 // history.
 func (st *Stack) Cache() *history.Cache { return st.cache }
 
-// ExecStats returns the execution layer's query and wire counters.
-func (st *Stack) ExecStats() ExecStats { return st.exec.ExecStats() }
-
 // mark reads the stack's cumulative savings, and the connector's
 // transient retries, into the Stats fields that report them.
 func (st *Stack) mark() Stats {
-	m := Stats{QueriesRetried: st.exec.Stats().TransientRetries}
+	m := Stats{QueriesRetried: st.conn.Stats().TransientRetries}
 	if st.cache != nil {
 		m.QueriesSaved = st.cache.CacheStats().Saved()
 	}

@@ -30,7 +30,6 @@ import (
 func main() {
 	var (
 		urlFlag = flag.String("url", "", "base URL of the target web form interface")
-		useAPI  = flag.Bool("api", false, "use the site's JSON API instead of HTML scraping")
 		local   = flag.String("local", "", "sample an in-process dataset instead of a URL (vehicles | jobs | bool-iid | bool-corr)")
 		localN  = flag.Int("local-n", 20000, "tuples of the in-process dataset")
 		k       = flag.Int("k", 1000, "target interface's top-k (for the slider mapping and -local)")
@@ -57,7 +56,7 @@ func main() {
 	)
 	flag.Parse()
 
-	conn, err := buildConn(*urlFlag, *useAPI, *local, *localN, *k, *countsF, *seed)
+	conn, err := buildConn(*urlFlag, *local, *localN, *k, *countsF, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -168,11 +167,8 @@ func persistSamples(schema *hdsampler.Schema, tuples []hdsampler.Tuple, stats hd
 	return tuples, nil
 }
 
-func buildConn(url string, useAPI bool, local string, localN, k int, counts string, seed int64) (hdsampler.Conn, error) {
+func buildConn(url, local string, localN, k int, counts string, seed int64) (hdsampler.Conn, error) {
 	if url != "" {
-		if useAPI {
-			return hdsampler.DialAPI(url), nil
-		}
 		return hdsampler.Dial(url), nil
 	}
 	if local == "" {

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"hdsampler/internal/datagen"
+	"hdsampler/internal/formclient"
 )
 
 func TestBuildConnLocal(t *testing.T) {
 	for _, name := range []string{"vehicles", "bool-iid", "bool-corr"} {
-		conn, err := buildConn("", false, name, 200, 50, "exact", 1)
+		conn, err := buildConn("", name, 200, 50, "exact", 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -19,25 +20,28 @@ func TestBuildConnLocal(t *testing.T) {
 			t.Fatalf("%s: schema %v %v", name, schema, err)
 		}
 	}
-	if _, err := buildConn("", false, "", 200, 50, "exact", 1); err == nil {
+	if _, err := buildConn("", "", 200, 50, "exact", 1); err == nil {
 		t.Error("missing -url and -local accepted")
 	}
-	if _, err := buildConn("", false, "mystery", 200, 50, "exact", 1); err == nil {
+	if _, err := buildConn("", "mystery", 200, 50, "exact", 1); err == nil {
 		t.Error("unknown local dataset accepted")
 	}
-	if _, err := buildConn("", false, "vehicles", 200, 50, "sometimes", 1); err == nil {
+	if _, err := buildConn("", "vehicles", 200, 50, "sometimes", 1); err == nil {
 		t.Error("unknown count mode accepted")
 	}
 }
 
+// TestBuildConnURLModes: -url always scrapes the site's HTML form, with
+// or without -local beside it.
 func TestBuildConnURLModes(t *testing.T) {
-	html, err := buildConn("http://example.invalid", false, "", 0, 0, "", 1)
-	if err != nil || html == nil {
-		t.Fatalf("html conn: %v", err)
-	}
-	api, err := buildConn("http://example.invalid", true, "", 0, 0, "", 1)
-	if err != nil || api == nil {
-		t.Fatalf("api conn: %v", err)
+	for _, local := range []string{"", "vehicles"} {
+		conn, err := buildConn("http://example.invalid", local, 200, 50, "exact", 1)
+		if err != nil {
+			t.Fatalf("-local %q: %v", local, err)
+		}
+		if _, ok := conn.(*formclient.HTTP); !ok {
+			t.Fatalf("-local %q: -url built a %T, want the HTML connector", local, conn)
+		}
 	}
 }
 

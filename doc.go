@@ -26,10 +26,10 @@
 //     top-k execution, ranking, count modes, budgets)
 //   - internal/webform — an HTTP server exposing a database behind an HTML
 //     form interface (the Google Base stand-in)
-//   - internal/htmlx, internal/formclient — HTML scraping and the Local /
-//     HTTP / API connectors; HTTP and API retry each request's 429s, 5xx
-//     answers and timeouts within one budget of formclient.MaxAttempts,
-//     the query path's only retry loop
+//   - internal/htmlx, internal/formclient — HTML scraping and the Local
+//     and HTTP connectors; HTTP retries each request's 429s, 5xx answers
+//     and timeouts within one budget of formclient.MaxAttempts, the query
+//     path's only retry loop
 //   - internal/history — query memoization and inference
 //   - internal/queryexec — the query-execution layer every sampler routes
 //     through: a fixed concurrency cap with an aggregate per-host rate

@@ -38,12 +38,12 @@ func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB,
 }
 
 // TestDrawParallelExecOverAPI drives an 8-replica draw through the
-// execution layer, under a fixed cap, over the JSON API connector
-// with the history cache disabled: every sample arrives, and both the
+// execution layer, under a fixed cap, over the HTML connector (the name
+// predates it) with the history cache disabled: every sample arrives, and both the
 // replicas' logical query bill and the site's wire traffic are nonzero.
 func TestDrawParallelExecOverAPI(t *testing.T) {
 	_, srv, hits := countingTarget(t, 2000, 250, webform.Options{})
-	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
+	conn := DialWithClient(srv.URL, srv.Client())
 	cfg := Config{
 		Seed:         3,
 		ShuffleOrder: true,
@@ -71,7 +71,7 @@ func TestDrawParallelExecOverAPI(t *testing.T) {
 func TestDrawParallelAggregateRateBounded(t *testing.T) {
 	const rate, burst = 300.0, 5
 	_, srv, hits := countingTarget(t, 1000, 150, webform.Options{})
-	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
+	conn := DialWithClient(srv.URL, srv.Client())
 	cfg := Config{
 		Seed:         4,
 		ShuffleOrder: true,
@@ -191,43 +191,37 @@ func TestDrawParallelRetriesArePerCall(t *testing.T) {
 // TestPersistent503CostsOneBudget: against a site whose search endpoint
 // always answers 503, one query through the default stack costs one
 // budget of formclient.MaxAttempts requests and one pass through the
-// execution layer, then surfaces ErrTransient — over both connectors.
+// execution layer, then surfaces ErrTransient.
 func TestPersistent503CostsOneBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		dial func(string) Conn
-	}{{"html", Dial}, {"api", DialAPI}} {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			ds := datagen.Vehicles(200, 3)
-			db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("html", func(t *testing.T) {
+		ds := datagen.Vehicles(200, 3)
+		db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := webform.NewServer(db, webform.Options{})
+		var searches atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/search" {
+				searches.Add(1)
+				http.Error(w, "down", http.StatusServiceUnavailable)
+				return
 			}
-			site := webform.NewServer(db, webform.Options{})
-			var searches atomic.Int64
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/search" || r.URL.Path == "/api/search" {
-					searches.Add(1)
-					http.Error(w, "down", http.StatusServiceUnavailable)
-					return
-				}
-				site.ServeHTTP(w, r)
-			}))
-			t.Cleanup(srv.Close)
+			site.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
 
-			exec := &telemetry.Histogram{}
-			st := NewStack(tc.dial(srv.URL), queryexec.Options{ExecLatency: exec}, nil)
-			_, err = st.Conn().Execute(context.Background(), hiddendb.EmptyQuery())
-			if !errors.Is(err, formclient.ErrTransient) {
-				t.Fatalf("err = %v, want ErrTransient", err)
-			}
-			if got := searches.Load(); got != formclient.MaxAttempts {
-				t.Fatalf("site saw %d search requests, want %d", got, formclient.MaxAttempts)
-			}
-			if got := exec.Snapshot().Count; got != 1 {
-				t.Fatalf("execution layer timed %d queries, want 1", got)
-			}
-		})
-	}
+		exec := &telemetry.Histogram{}
+		st := NewStack(Dial(srv.URL), queryexec.Options{ExecLatency: exec}, nil)
+		_, err = st.Conn().Execute(context.Background(), hiddendb.EmptyQuery())
+		if !errors.Is(err, formclient.ErrTransient) {
+			t.Fatalf("err = %v, want ErrTransient", err)
+		}
+		if got := searches.Load(); got != formclient.MaxAttempts {
+			t.Fatalf("site saw %d search requests, want %d", got, formclient.MaxAttempts)
+		}
+		if got := exec.Snapshot().Count; got != 1 {
+			t.Fatalf("execution layer timed %d queries, want 1", got)
+		}
+	})
 }

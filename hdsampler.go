@@ -301,12 +301,6 @@ func DialWithClient(baseURL string, client *http.Client) Conn {
 	return formclient.NewHTTP(baseURL, formclient.HTTPOptions{Client: client})
 }
 
-// DialAPI returns a connector using the site's machine-readable API
-// endpoints instead of HTML scraping.
-func DialAPI(baseURL string) Conn {
-	return formclient.NewAPI(baseURL, formclient.HTTPOptions{})
-}
-
 // LocalConn wraps an in-process hidden database as a connector (the demo's
 // "locally simulated hidden database" mode).
 func LocalConn(db *hiddendb.DB) Conn {

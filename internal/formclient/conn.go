@@ -4,8 +4,7 @@
 // simulated hidden database" backup plan); HTTP drives a live web form
 // interface, discovering the attribute domains by parsing the form page
 // and reading answers off HTML result pages, with rate-limit-aware
-// retries — the Google Base path of the original system; API reads the
-// same site's JSON endpoint.
+// retries — the Google Base path of the original system.
 //
 // A caller that will read an overflowing answer's rows says so with
 // WantRows. The drill-down reads them only at its last level, where the

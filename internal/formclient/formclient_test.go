@@ -2,12 +2,11 @@ package formclient
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -374,6 +373,18 @@ func TestInferAttr(t *testing.T) {
 	if a.Kind != hiddendb.KindNumeric || len(a.Buckets) != 2 || a.Buckets[1].Hi != 20 {
 		t.Errorf("numeric not inferred: %+v", a)
 	}
+	// Bounds with their own minus sign or a signed exponent, as
+	// hiddendb.Bucket.Label renders them.
+	for _, want := range []hiddendb.Attribute{
+		hiddendb.NumAttr("t", -10, -5, 0, 5),
+		hiddendb.NumAttr("t", -2e-05, -1e-05, 0, 1e-05, 0.5),
+		hiddendb.NumAttr("t", -1e300, -1.5e-300, 1e21),
+	} {
+		got := inferAttr("t", want.Values)
+		if got.Kind != hiddendb.KindNumeric || !slices.Equal(got.Buckets, want.Buckets) {
+			t.Errorf("labels %v inferred as %v %v, want numeric %v", want.Values, got.Kind, got.Buckets, want.Buckets)
+		}
+	}
 	for _, labels := range [][]string{
 		{"red", "blue"},
 		{"3-series", "5-series"},   // dashes but not numeric ranges
@@ -381,6 +392,8 @@ func TestInferAttr(t *testing.T) {
 		{"10-0", "0-10"},           // inverted
 		{"0-10", "10-20", "cheap"}, // mixed
 		{"-5", "5-"},               // malformed
+		{"1e-05", "2e-05"},         // numbers, not ranges
+		{"-5--10", "-10-0"},        // inverted negative
 	} {
 		if a := inferAttr("x", labels); a.Kind != hiddendb.KindCategorical {
 			t.Errorf("labels %v inferred as %v, want categorical", labels, a.Kind)
@@ -388,131 +401,25 @@ func TestInferAttr(t *testing.T) {
 	}
 }
 
-func TestAPIConn(t *testing.T) {
-	db, srv := vehiclesServer(t, 300, 25, hiddendb.CountApprox, webform.Options{})
-	conn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client()})
-	ctx := context.Background()
-	schema, err := conn.Schema(ctx)
-	if err != nil {
-		t.Fatalf("Schema: %v", err)
-	}
-	if !schema.Equal(db.Schema()) {
-		t.Fatal("API schema differs from server schema")
-	}
-	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1})
-	want, err := db.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conn.Execute(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Overflow != want.Overflow || got.Count != want.Count || len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("API result mismatch: %+v vs %+v", got, want)
-	}
-	for i := range want.Tuples {
-		if want.Tuples[i].ID != got.Tuples[i].ID {
-			t.Fatal("tuple order differs")
-		}
-		wp, wok := want.Tuples[i].Num(datagen.VehAttrPrice)
-		gp, gok := got.Tuples[i].Num(datagen.VehAttrPrice)
-		if wok != gok || wp != gp {
-			t.Fatal("numeric payload differs")
-		}
-		if v, ok := got.Tuples[i].Num(datagen.VehAttrMake); ok {
-			t.Fatalf("non-numeric attr has payload %g", v)
-		}
-	}
-	if conn.Stats().Queries != 1 {
-		t.Errorf("Queries = %d", conn.Stats().Queries)
-	}
-	// Approximate counts are still deterministic through the API.
-	again, err := conn.Execute(ctx, q)
-	if err != nil || again.Count != got.Count {
-		t.Error("approx count changed between identical queries")
-	}
-}
-
-// TestAPIRejectsOutOfDomainValues: a site whose /api/search rows carry
-// value indexes outside the discovered domains fails the query with
-// ErrPageFormat, the way the HTML scraper fails an unknown label.
-// Accepting the row would let the sampler save a tuple that the sample
-// store then refuses to read back.
-func TestAPIRejectsOutOfDomainValues(t *testing.T) {
-	ds := datagen.Vehicles(100, 21)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := webform.NewServer(db, webform.Options{})
-	m := ds.Schema.NumAttrs()
-	for _, tc := range []struct {
-		name      string
-		attr, val int
-	}{
-		{"one past the domain", datagen.VehAttrMake, ds.Schema.DomainSize(datagen.VehAttrMake)},
-		{"far past the domain", datagen.VehAttrMake, 9999},
-		{"negative", m - 1, -3},
+// TestNestedFormsDecodeInLinearTime: deeply nested form pages decode in
+// well under a second. Searching each form's whole subtree for selects,
+// and each select's for options, takes cubic time on 2,000 nested
+// <form name="search"><select name="a"> pairs (74 KB): 38 s. Scanning the
+// open elements for each unmatched end tag takes quadratic time on a
+// search form holding 16,000 open elements and as many stray end tags
+// (109 KB): 1.4 s.
+func TestNestedFormsDecodeInLinearTime(t *testing.T) {
+	for name, page := range map[string]string{
+		"nested forms":   strings.Repeat(`<form name="search"><select name="a">`, 2000),
+		"stray end tags": `<form name="search">` + strings.Repeat("<b>", 16000) + strings.Repeat("</i>", 16000),
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vals := make([]int, m)
-			vals[tc.attr] = tc.val
-			row, err := json.Marshal(vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/api/search" {
-					w.Header().Set("Content-Type", "application/json")
-					fmt.Fprintf(w, `{"overflow":false,"rows":[{"id":7,"vals":%s}]}`, row)
-					return
-				}
-				site.ServeHTTP(w, r)
-			}))
-			defer srv.Close()
-			conn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client()})
-			res, err := conn.Execute(context.Background(), hiddendb.EmptyQuery())
-			if !errors.Is(err, ErrPageFormat) {
-				t.Fatalf("Execute = %+v, %v; want ErrPageFormat", res, err)
-			}
-		})
-	}
-}
-
-func TestHTTPAndAPIAgree(t *testing.T) {
-	_, srv := vehiclesServer(t, 200, 40, hiddendb.CountExact, webform.Options{})
-	htmlConn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
-	apiConn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client()})
-	ctx := context.Background()
-	hs, err := htmlConn.Schema(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := apiConn.Schema(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// HTML discovery derives the name from the page title; compare attrs.
-	if hs.NumAttrs() != as.NumAttrs() {
-		t.Fatalf("attr counts differ: %d vs %d", hs.NumAttrs(), as.NumAttrs())
-	}
-	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: 0})
-	hr, err := htmlConn.Execute(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar, err := apiConn.Execute(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.Overflow != ar.Overflow || hr.Count != ar.Count || len(hr.Tuples) != len(ar.Tuples) {
-		t.Fatalf("HTML and API disagree: (%v,%d,%d) vs (%v,%d,%d)",
-			hr.Overflow, hr.Count, len(hr.Tuples), ar.Overflow, ar.Count, len(ar.Tuples))
-	}
-	for i := range hr.Tuples {
-		if hr.Tuples[i].ID != ar.Tuples[i].ID {
-			t.Fatal("row order differs between HTML and API")
+		start := time.Now()
+		_, err := decodeFormPage([]byte(page))
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: decoding %d KB took %v", name, len(page)>>10, d)
+		}
+		if !errors.Is(err, ErrPageFormat) {
+			t.Errorf("%s: err = %v, want ErrPageFormat: no select offers a domain", name, err)
 		}
 	}
 }

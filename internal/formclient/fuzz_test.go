@@ -1,14 +1,12 @@
 package formclient
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"testing"
 
 	"hdsampler/internal/datagen"
@@ -148,53 +146,68 @@ func sitePages(tb testing.TB, seed int64) []string {
 	return pages
 }
 
-// FuzzAPIResult does the same for the API connector's result decoding:
-// arbitrary bytes go through json.Unmarshal into the wire form and then
-// decodeWireResult. Whatever a site serves on /api/search, the decoder
-// must return a page-format error or tuples that fit the schema — one
-// value per attribute, each inside its attribute's domain — and never
-// panic. The nightly fuzz smoke run extends these seeds as well.
-func FuzzAPIResult(f *testing.F) {
-	schema := datagen.Vehicles(50, 21).Schema
-	m := schema.NumAttrs()
-	oneRow := func(vals string) string {
-		return `{"overflow":false,"count":1,"rows":[{"id":1,"vals":[` + vals + `],"nums":{"price":12500,"nope":1}}]}`
+// negativeRangeDB is a hidden database whose numeric attribute has
+// negative bucket bounds ("-10--5", "-5-0"), as hiddendbd -csv cuts a
+// column holding negative values.
+func negativeRangeDB(tb testing.TB) *hiddendb.DB {
+	tb.Helper()
+	schema := hiddendb.MustSchema("readings", hiddendb.NumAttr("temp", -10, -5, 0, 5), hiddendb.BoolAttr("windy"))
+	tuples := make([]hiddendb.Tuple, 30)
+	for i := range tuples {
+		temp := -10 + float64(i)/2
+		tuples[i] = hiddendb.Tuple{Vals: []int{schema.Attrs[0].BucketOf(temp), i % 2}, Nums: []float64{temp, math.NaN()}}
 	}
+	db, err := hiddendb.New(schema, tuples, nil, hiddendb.Config{K: 10})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
 
+// FuzzFormPage feeds arbitrary bytes to decodeFormPage, the one decoder
+// of a site's schema: whatever a misbehaving or adversarial site serves
+// as its form page, never a panic, every error wraps ErrPageFormat, and
+// every schema it accepts is valid. The seeds are the form pages the
+// simulated site renders for the vehicles, jobs, boolean, Zipf and
+// wide-categorical datasets and for negative numeric ranges. The nightly
+// fuzz smoke run extends them.
+func FuzzFormPage(f *testing.F) {
+	dbs := []*hiddendb.DB{negativeRangeDB(f)}
+	for _, ds := range []*datagen.Dataset{
+		datagen.Vehicles(60, 1),
+		datagen.Jobs(60, 2),
+		datagen.IIDBoolean(6, 60, 0.5, 3),
+		datagen.ZipfCategorical([]int{5, 4, 3}, 60, 1.0, 4),
+		datagen.WideCategorical(3, 12, 60, 0.25, 5),
+	} {
+		db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 10})
+		if err != nil {
+			f.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	for _, db := range dbs {
+		rec := httptest.NewRecorder()
+		webform.NewServer(db, webform.Options{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("form page of %q: status %d", db.Schema().Name, rec.Code)
+		}
+		f.Add(rec.Body.String())
+	}
 	f.Add("")
-	f.Add("{}")
-	f.Add("null")
-	f.Add(`{"overflow":true,"rows":[]}`)
-	f.Add(`{"overflow":false,"count":null,"rows":null}`)
-	f.Add(oneRow(strings.Repeat("0,", m-1) + "0"))
-	f.Add(oneRow("9999," + strings.Repeat("0,", m-2) + "-3"))
-	f.Add(oneRow("1"))
-	f.Add(`{"rows":[{"id":4,"vals":"x"}]}`)
+	f.Add(`<form name="search"><select name="a"><option value="0">x</option><option value="0">y</option></select></form>`)
+	f.Add(`<form name="search"><select name="p"><option value="0">-1e-05-0</option><option value="1">0-2e+300</option></select></form>`)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		var wr wireResult
-		if err := json.Unmarshal([]byte(body), &wr); err != nil {
-			return
-		}
-		res, err := decodeWireResult(schema, &wr)
+		schema, err := decodeFormPage([]byte(body))
 		if err != nil {
 			if !errors.Is(err, ErrPageFormat) {
 				t.Fatalf("error %v is not ErrPageFormat", err)
 			}
 			return
 		}
-		if res == nil {
-			t.Fatal("nil result without error")
-		}
-		for i, tu := range res.Tuples {
-			if len(tu.Vals) != m || len(tu.Nums) != m {
-				t.Fatalf("tuple %d shape %d/%d vals/nums, want %d for schema", i, len(tu.Vals), len(tu.Nums), m)
-			}
-			for a, v := range tu.Vals {
-				if v < 0 || v >= schema.DomainSize(a) {
-					t.Fatalf("tuple %d: value %d out of domain for %q", i, v, schema.Attrs[a].Name)
-				}
-			}
+		if err := schema.Validate(); err != nil {
+			t.Fatalf("accepted an invalid schema: %v", err)
 		}
 	})
 }

@@ -223,11 +223,8 @@ func retryWait(resp *http.Response) time.Duration {
 	return min(200*time.Millisecond, maxRetryWait)
 }
 
-// Schema implements Conn: on first call it fetches the form page, locates
-// the search form, and reconstructs the attribute domains from its select
-// controls, inferring attribute kinds from the option labels (false/true
-// pairs become boolean; contiguous "lo-hi" range labels become numeric
-// with buckets; anything else is categorical).
+// Schema implements Conn: on first call it fetches the form page and
+// decodes the schema from it (decodeFormPage).
 func (h *HTTP) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -238,10 +235,22 @@ func (h *HTTP) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	if h.schema, err = decodeFormPage(body); err != nil {
+		return nil, fmt.Errorf("%w (%s/)", err, h.base)
+	}
+	return h.schema, nil
+}
+
+// decodeFormPage reads a schema off a form page: it locates the search
+// form and reconstructs the attribute domains from its select controls,
+// inferring kinds from the option labels (false/true pairs become
+// boolean, contiguous "lo-hi" range labels numeric with buckets, anything
+// else categorical). Every error wraps ErrPageFormat.
+func decodeFormPage(body []byte) (*hiddendb.Schema, error) {
 	root := htmlx.Parse(string(body))
 	form := htmlx.FormByName(root, "search")
 	if form == nil {
-		return nil, fmt.Errorf("%w: no search form on %s/", ErrPageFormat, h.base)
+		return nil, fmt.Errorf("%w: no search form", ErrPageFormat)
 	}
 	name := "hidden-database"
 	if titles := root.ByTag("title"); len(titles) > 0 {
@@ -276,9 +285,8 @@ func (h *HTTP) Schema(ctx context.Context) (*hiddendb.Schema, error) {
 	}
 	schema, err := hiddendb.NewSchema(name, attrs...)
 	if err != nil {
-		return nil, fmt.Errorf("formclient: discovered schema invalid: %v", err)
+		return nil, fmt.Errorf("%w: discovered schema invalid: %v", ErrPageFormat, err)
 	}
-	h.schema = schema
 	return schema, nil
 }
 
@@ -301,8 +309,13 @@ func inferAttr(name string, labels []string) hiddendb.Attribute {
 func parseRangeLabels(labels []string) ([]hiddendb.Bucket, bool) {
 	buckets := make([]hiddendb.Bucket, 0, len(labels))
 	for _, l := range labels {
-		dash := strings.Index(l, "-")
-		if dash <= 0 || dash == len(l)-1 {
+		// The dash between the bounds: a bound's own dash is its sign or
+		// follows its exponent mark ("-10--5", "1e-05-2e-05").
+		dash := 1
+		for dash < len(l) && (l[dash] != '-' || l[dash-1] == 'e' || l[dash-1] == 'E') {
+			dash++
+		}
+		if dash >= len(l) {
 			return nil, false
 		}
 		lo, err1 := strconv.ParseFloat(l[:dash], 64)

@@ -15,7 +15,9 @@ import (
 
 // randomSchema builds an arbitrary valid schema whose labels avoid shapes
 // that would legitimately change kind under discovery (numeric-range
-// lookalikes, false/true pairs).
+// lookalikes, false/true pairs). Numeric bounds may be negative, and at
+// the 1e-6 scale they render in exponent form, so range labels carry
+// dashes of their own ("-20--5", "-2e-05-3e-05").
 func randomSchema(rng *rand.Rand) *hiddendb.Schema {
 	m := 1 + rng.Intn(6)
 	attrs := make([]hiddendb.Attribute, m)
@@ -34,9 +36,13 @@ func randomSchema(rng *rand.Rand) *hiddendb.Schema {
 		default:
 			nCuts := 3 + rng.Intn(4)
 			cuts := make([]float64, nCuts)
-			cur := float64(rng.Intn(100))
+			scale := 1.0
+			if rng.Intn(2) == 0 {
+				scale = 1e-6
+			}
+			cur := float64(rng.Intn(200) - 150)
 			for j := range cuts {
-				cuts[j] = cur
+				cuts[j] = cur * scale
 				cur += float64(1 + rng.Intn(5000))
 			}
 			attrs[i] = hiddendb.NumAttr(name, cuts...)
@@ -66,8 +72,8 @@ func randomTuples(rng *rand.Rand, s *hiddendb.Schema, n int) []hiddendb.Tuple {
 				}
 			}
 			b := s.Attrs[a].Buckets[vals[a]]
-			// An integral value strictly inside the bucket survives the
-			// site's decimal rendering exactly.
+			// The site renders payloads in their shortest exact decimal
+			// form, so any value inside the bucket reads back into it.
 			nums[a] = float64(int64(b.Lo))
 			if nums[a] < b.Lo || nums[a] >= b.Hi {
 				nums[a] = b.Lo

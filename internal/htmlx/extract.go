@@ -32,35 +32,58 @@ type Input struct {
 }
 
 // ExtractForms returns every form in the tree with its controls, in
-// document order.
+// document order. A control belongs to its nearest enclosing form and an
+// option, with the text inside it, to its nearest enclosing select, so
+// one walk extracts every form in time linear in the page.
 func ExtractForms(root *Node) []Form {
 	var forms []Form
-	for _, f := range root.ByTag("form") {
-		form := Form{
-			Action: f.AttrOr("action", ""),
-			Method: strings.ToUpper(f.AttrOr("method", "GET")),
-			Name:   f.AttrOr("name", f.AttrOr("id", "")),
-		}
-		for _, sel := range f.ByTag("select") {
-			s := Select{Name: sel.AttrOr("name", "")}
-			_, s.Multiple = sel.Attr("multiple")
-			for _, opt := range sel.ByTag("option") {
-				label := opt.TextContent()
-				value := opt.AttrOr("value", label)
-				_, selected := opt.Attr("selected")
-				s.Options = append(s.Options, Option{Value: value, Label: label, Selected: selected})
+	// walk visits n inside forms[form].Selects[sel] (-1: none), adding text
+	// to label; children may append controls, so an option is held by index.
+	var walk func(n *Node, form, sel int, label *strings.Builder)
+	walk = func(n *Node, form, sel int, label *strings.Builder) {
+		switch {
+		case n.IsText():
+			if label != nil {
+				label.WriteString(n.Text)
+				label.WriteByte(' ')
 			}
-			form.Selects = append(form.Selects, s)
-		}
-		for _, in := range f.ByTag("input") {
-			form.Inputs = append(form.Inputs, Input{
-				Name:  in.AttrOr("name", ""),
-				Type:  strings.ToLower(in.AttrOr("type", "text")),
-				Value: in.AttrOr("value", ""),
+			return
+		case n.Tag == "form":
+			forms = append(forms, Form{
+				Action: n.AttrOr("action", ""),
+				Method: strings.ToUpper(n.AttrOr("method", "GET")),
+				Name:   n.AttrOr("name", n.AttrOr("id", "")),
+			})
+			form, sel, label = len(forms)-1, -1, nil
+		case n.Tag == "select" && form >= 0:
+			s := Select{Name: n.AttrOr("name", "")}
+			_, s.Multiple = n.Attr("multiple")
+			forms[form].Selects = append(forms[form].Selects, s)
+			sel, label = len(forms[form].Selects)-1, nil
+		case n.Tag == "option" && sel >= 0:
+			opts := &forms[form].Selects[sel].Options
+			_, selected := n.Attr("selected")
+			*opts = append(*opts, Option{Selected: selected})
+			i, text := len(*opts)-1, &strings.Builder{}
+			for _, c := range n.Children {
+				walk(c, form, sel, text)
+			}
+			o := &forms[form].Selects[sel].Options[i]
+			o.Label = strings.Join(strings.Fields(text.String()), " ")
+			o.Value = n.AttrOr("value", o.Label)
+			return
+		case n.Tag == "input" && form >= 0:
+			forms[form].Inputs = append(forms[form].Inputs, Input{
+				Name:  n.AttrOr("name", ""),
+				Type:  strings.ToLower(n.AttrOr("type", "text")),
+				Value: n.AttrOr("value", ""),
 			})
 		}
-		forms = append(forms, form)
+		for _, c := range n.Children {
+			walk(c, form, sel, label)
+		}
 	}
+	walk(root, -1, -1, nil)
 	return forms
 }
 

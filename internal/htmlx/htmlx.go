@@ -10,6 +10,7 @@ package htmlx
 
 import (
 	"html"
+	"slices"
 	"strings"
 )
 
@@ -147,7 +148,12 @@ var impliedEnd = map[string][]string{
 func Parse(src string) *Node {
 	root := &Node{Tag: "#root"}
 	stack := []*Node{root}
+	open := map[string]int{} // open elements on the stack, by tag
 	top := func() *Node { return stack[len(stack)-1] }
+	pop := func() {
+		open[top().Tag]--
+		stack = stack[:len(stack)-1]
+	}
 	appendText := func(s string) {
 		if s == "" {
 			return
@@ -155,14 +161,13 @@ func Parse(src string) *Node {
 		t := top()
 		t.Children = append(t.Children, &Node{Text: html.UnescapeString(s), Parent: t})
 	}
+	// closeTag pops the open elements down to the nearest tag element. With
+	// none open it ignores the end tag, as browsers do, without scanning the
+	// stack: a scan per stray end tag costs quadratic time on deep pages.
 	closeTag := func(tag string) {
-		for i := len(stack) - 1; i >= 1; i-- {
-			if stack[i].Tag == tag {
-				stack = stack[:i]
-				return
-			}
+		for n := open[tag]; n > 0 && open[tag] == n; {
+			pop()
 		}
-		// No matching open tag: ignore, as browsers do.
 	}
 
 	i := 0
@@ -208,21 +213,8 @@ func Parse(src string) *Node {
 			}
 			i = next
 			// Implied end tags before opening this one.
-			if closes, hit := impliedEnd[tag]; hit {
-				for len(stack) > 1 {
-					cur := top().Tag
-					matched := false
-					for _, c := range closes {
-						if cur == c {
-							matched = true
-							break
-						}
-					}
-					if !matched {
-						break
-					}
-					stack = stack[:len(stack)-1]
-				}
+			for len(stack) > 1 && slices.Contains(impliedEnd[tag], top().Tag) {
+				pop()
 			}
 			n := &Node{Tag: tag, Attrs: attrs, Parent: top()}
 			top().Children = append(top().Children, n)
@@ -249,6 +241,7 @@ func Parse(src string) *Node {
 				continue
 			}
 			stack = append(stack, n)
+			open[tag]++
 		}
 	}
 	return root

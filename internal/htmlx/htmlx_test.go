@@ -219,6 +219,28 @@ func TestExtractFormDefaults(t *testing.T) {
 	}
 }
 
+// TestExtractNestedForms: a control belongs to its nearest enclosing
+// form, and an option and its text to its nearest enclosing select,
+// however a page nests them.
+func TestExtractNestedForms(t *testing.T) {
+	page := `<form name="outer"><select name="a"><option value="0">x<form name="inner">` +
+		`<select name="b"><option value="1">y</select></form></select><input name="i"></form>`
+	forms := ExtractForms(Parse(page))
+	if len(forms) != 2 || forms[0].Name != "outer" || forms[1].Name != "inner" {
+		t.Fatalf("forms = %+v", forms)
+	}
+	outer, inner := forms[0], forms[1]
+	if len(outer.Selects) != 1 || len(outer.Inputs) != 1 || len(inner.Selects) != 1 || len(inner.Inputs) != 0 {
+		t.Fatalf("outer %+v, inner %+v", outer, inner)
+	}
+	if a := outer.Selects[0].Options; len(a) != 1 || a[0] != (Option{Value: "0", Label: "x"}) {
+		t.Errorf("select a options = %+v", a)
+	}
+	if b := inner.Selects[0].Options; len(b) != 1 || b[0] != (Option{Value: "1", Label: "y"}) {
+		t.Errorf("select b options = %+v", b)
+	}
+}
+
 func TestFormByName(t *testing.T) {
 	page := `<form name="a" action="/a"></form><form name="b" action="/b/search"></form>`
 	root := Parse(page)

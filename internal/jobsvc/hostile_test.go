@@ -77,8 +77,6 @@ func FuzzSpec(f *testing.F) {
 		switch {
 		case spec.Workers < 1 || spec.Workers > MaxWorkers:
 			t.Fatalf("accepted workers = %d", spec.Workers)
-		case spec.Connector != ConnectorHTML && spec.Connector != ConnectorAPI:
-			t.Fatalf("accepted connector %q", spec.Connector)
 		case spec.Method != MethodUniform && spec.Method != MethodWeighted && spec.Method != MethodCrawl:
 			t.Fatalf("accepted method %q", spec.Method)
 		case spec.Method != MethodCrawl && spec.N <= 0:

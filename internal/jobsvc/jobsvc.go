@@ -23,11 +23,8 @@ import (
 	"time"
 )
 
-// Connector kinds and sampling methods accepted in a Spec.
+// Sampling methods accepted in a Spec.
 const (
-	ConnectorHTML = "html"
-	ConnectorAPI  = "api"
-
 	MethodUniform  = "uniform"
 	MethodWeighted = "weighted"
 	MethodCrawl    = "crawl"
@@ -37,9 +34,6 @@ const (
 type Spec struct {
 	// URL roots the target web form interface, e.g. "http://host:8080".
 	URL string `json:"url"`
-	// Connector drives the target via HTML scraping ("html", default) or
-	// the machine-readable API ("api").
-	Connector string `json:"connector,omitempty"`
 	// Method selects the algorithm: "uniform" (random drill-down,
 	// default), "weighted" (count-weighted drill-down, needs a
 	// count-reporting interface) or "crawl" (full extraction baseline).
@@ -81,9 +75,6 @@ const MaxWorkers = 256
 // normalize fills defaults and validates the spec in place, returning the
 // parsed target URL.
 func (s *Spec) normalize() (*url.URL, error) {
-	if s.Connector == "" {
-		s.Connector = ConnectorHTML
-	}
 	if s.Method == "" {
 		s.Method = MethodUniform
 	}
@@ -92,11 +83,6 @@ func (s *Spec) normalize() (*url.URL, error) {
 	}
 	if s.Workers > MaxWorkers {
 		return nil, fmt.Errorf("jobsvc: workers = %d, at most %d", s.Workers, MaxWorkers)
-	}
-	switch s.Connector {
-	case ConnectorHTML, ConnectorAPI:
-	default:
-		return nil, fmt.Errorf("jobsvc: unknown connector %q (want html or api)", s.Connector)
 	}
 	switch s.Method {
 	case MethodUniform, MethodWeighted:

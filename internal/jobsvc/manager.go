@@ -149,16 +149,15 @@ type hostEntry struct {
 	hist history.Options
 
 	mu      sync.Mutex
-	targets map[string]*target
+	targets map[string]*target // by base URL, the checkpoint identity
 }
 
-// target is one (connector kind, base URL): the raw formclient conn and
-// one hdsampler.Stack over it per history mode. Jobs sharing a target and
-// a mode share that stack's cache; every stack on a host shares the
-// host's admission limiter.
+// target is one base URL: the HTML connector every job on that URL draws
+// through, with its 429 retry lane, and one hdsampler.Stack over it per
+// history mode. Jobs sharing a target and a mode share that stack's
+// cache; every stack on a host shares the host's admission limiter.
 type target struct {
-	key    string // connector + "|" + URL, the checkpoint identity
-	base   formclient.Conn
+	base   *formclient.HTTP
 	stacks map[historyMode]*hdsampler.Stack
 }
 
@@ -516,24 +515,20 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 }
 
 // stackFor returns the stack a job draws through: the hdsampler.Stack for
-// the job's history mode over its target's base conn (shared per
-// connector kind and URL). A stack with a cache is warm-started from its
-// HistoryDir checkpoint, when one exists.
+// the job's history mode over its target's base conn (shared per URL). A
+// stack with a cache is warm-started from its HistoryDir checkpoint, when
+// one exists.
 func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
-	key := spec.Connector + "|" + spec.URL
 	mode := spec.historyMode()
 
 	he.mu.Lock()
-	tg, ok := he.targets[key]
+	tg, ok := he.targets[spec.URL]
 	if !ok {
-		tg = &target{key: key, stacks: make(map[historyMode]*hdsampler.Stack)}
-		opts := formclient.HTTPOptions{Client: cfg.Client}
-		if spec.Connector == ConnectorAPI {
-			tg.base = formclient.NewAPI(spec.URL, opts)
-		} else {
-			tg.base = formclient.NewHTTP(spec.URL, opts)
+		tg = &target{
+			base:   formclient.NewHTTP(spec.URL, formclient.HTTPOptions{Client: cfg.Client}),
+			stacks: make(map[historyMode]*hdsampler.Stack),
 		}
-		he.targets[key] = tg
+		he.targets[spec.URL] = tg
 	}
 	st := tg.stacks[mode]
 	he.mu.Unlock()
@@ -553,7 +548,7 @@ func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 	}
 	fresh := hdsampler.NewStack(tg.base, he.exec, hist)
 	if c := fresh.Cache(); c != nil && cfg.HistoryDir != "" {
-		warmStartCache(cfg.HistoryDir, historySource(key, mode == historyTrusted), c, cfg.logger())
+		warmStartCache(cfg.HistoryDir, historySource(spec.URL, mode == historyTrusted), c, cfg.logger())
 	}
 	he.mu.Lock()
 	defer he.mu.Unlock()
@@ -565,10 +560,10 @@ func (he *hostEntry) stackFor(spec Spec, cfg Config) *hdsampler.Stack {
 }
 
 // historySource names one cache identity for checkpointing: the target
-// key plus the trust mode (trusted and untrusted caches infer
+// URL plus the trust mode (trusted and untrusted caches infer
 // differently and must not adopt each other's checkpoints).
-func historySource(targetKey string, trust bool) string {
-	return targetKey + "|trust=" + strconv.FormatBool(trust)
+func historySource(targetURL string, trust bool) string {
+	return targetURL + "|trust=" + strconv.FormatBool(trust)
 }
 
 // historyDumpPath maps a cache identity onto its checkpoint file.
@@ -628,10 +623,10 @@ func (m *Manager) dumpHistory() {
 			cache  *history.Cache
 		}
 		var tasks []dumpTask
-		for _, tg := range he.targets {
+		for targetURL, tg := range he.targets {
 			for mode, st := range tg.stacks {
 				if c := st.Cache(); c != nil {
-					tasks = append(tasks, dumpTask{historySource(tg.key, mode == historyTrusted), c})
+					tasks = append(tasks, dumpTask{historySource(targetURL, mode == historyTrusted), c})
 				}
 			}
 		}

@@ -73,7 +73,6 @@ func TestSpecValidation(t *testing.T) {
 		{"valid defaults", Spec{URL: "http://x.test", N: 5}, ""},
 		{"missing url", Spec{N: 5}, "missing target url"},
 		{"relative url", Spec{URL: "x.test/form", N: 5}, "absolute http"},
-		{"bad connector", Spec{URL: "http://x.test", N: 5, Connector: "ftp"}, "unknown connector"},
 		{"bad method", Spec{URL: "http://x.test", N: 5, Method: "exhaustive"}, "unknown method"},
 		{"zero n", Spec{URL: "http://x.test"}, "need > 0"},
 		{"crawl without n", Spec{URL: "http://x.test", Method: MethodCrawl}, ""},
@@ -88,7 +87,7 @@ func TestSpecValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
-				if spec.Connector == "" || spec.Method == "" || spec.Workers < 1 {
+				if spec.Method == "" || spec.Workers < 1 {
 					t.Fatalf("defaults not filled: %+v", spec)
 				}
 				return
@@ -218,7 +217,7 @@ func TestShutdownDrainsAndPersistsPartials(t *testing.T) {
 func TestCrawlJob(t *testing.T) {
 	db, srv := newTarget(t, 400, 50, hiddendb.CountNone)
 	m := newTestManager(t, srv, Config{})
-	v, err := m.Submit(Spec{URL: srv.URL, Method: MethodCrawl, Connector: ConnectorAPI})
+	v, err := m.Submit(Spec{URL: srv.URL, Method: MethodCrawl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 	site := webform.NewServer(db, webform.Options{})
 	var cur, peak atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/search" {
+		if r.URL.Path == "/search" {
 			n := cur.Add(1)
 			defer cur.Add(-1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
@@ -327,7 +326,7 @@ func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 	t.Cleanup(srv.Close)
 	const limit = 3
 	m := newTestManager(t, srv, Config{HostMaxInFlight: limit})
-	v, err := m.Submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 48, Workers: 8, Seed: 9, NoHistory: true})
+	v, err := m.Submit(Spec{URL: srv.URL, N: 48, Workers: 8, Seed: 9, NoHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +360,8 @@ func TestExecLayerSharedAcrossWorkers(t *testing.T) {
 
 // TestStackPerTargetAndHistoryMode pins the daemon's stack layout: one
 // hdsampler.Stack per target and history mode, shared by every job with
-// that mode, with a cache iff history is on.
+// that mode, with a cache iff history is on, and every mode's stack over
+// the target's one connector.
 func TestStackPerTargetAndHistoryMode(t *testing.T) {
 	m := NewManager(Config{HostMaxInFlight: 4})
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
@@ -369,7 +369,7 @@ func TestStackPerTargetAndHistoryMode(t *testing.T) {
 	he := m.hostLocked("example.test")
 	m.mu.Unlock()
 	stack := func(noHistory, trust bool) *hdsampler.Stack {
-		return he.stackFor(Spec{URL: "http://example.test", Connector: ConnectorHTML, NoHistory: noHistory, TrustCounts: trust}, m.cfg)
+		return he.stackFor(Spec{URL: "http://example.test", NoHistory: noHistory, TrustCounts: trust}, m.cfg)
 	}
 	off, untrusted, trusted := stack(true, false), stack(false, false), stack(false, true)
 	if off.Cache() != nil || untrusted.Cache() == nil || trusted.Cache() == nil {
@@ -385,7 +385,7 @@ func TestStackPerTargetAndHistoryMode(t *testing.T) {
 		t.Fatal("HostMaxInFlight built no host limiter")
 	}
 	if n := len(he.targets); n != 1 {
-		t.Fatalf("%d targets for one connector and URL", n)
+		t.Fatalf("%d targets for one URL", n)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	t.Cleanup(h.Close)
 	api := &apiClient{t: t, base: h.URL, c: h.Client()}
 
-	v := api.submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 15, Workers: 2, Seed: 11})
+	v := api.submit(Spec{URL: srv.URL, N: 15, Workers: 2, Seed: 11})
 	api.wait(v.ID, 30*time.Second, func(v View) bool { return v.State.Terminal() })
 	if got := api.job(v.ID); got.State != StateCompleted {
 		t.Fatalf("job finished %v (%s), want completed", got.State, got.Error)
@@ -221,7 +221,7 @@ func TestDebugWalksEndpoint(t *testing.T) {
 	t.Cleanup(h.Close)
 	api := &apiClient{t: t, base: h.URL, c: h.Client()}
 
-	v := api.submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 10, Workers: 1, Seed: 3})
+	v := api.submit(Spec{URL: srv.URL, N: 10, Workers: 1, Seed: 3})
 	api.wait(v.ID, 30*time.Second, func(v View) bool { return v.State.Terminal() })
 
 	code, body := api.do(http.MethodGet, "/debug/walks", nil)

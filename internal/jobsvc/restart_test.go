@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/jobq"
 	"hdsampler/internal/store"
+	"hdsampler/internal/webform"
 )
 
 // craftCrashedJournal writes the journal state a SIGKILLed daemon leaves
@@ -192,6 +195,52 @@ func TestRestartReplaysJournal(t *testing.T) {
 	}
 	if st.Degraded {
 		t.Fatal("journal degraded during a clean restart test")
+	}
+}
+
+// TestReplayedConnectorSpecRunsOverHTML: a journal whose admitted spec
+// still names a connector ("connector":"api", from the days the site
+// also had a JSON API) replays, and the job runs to completion over the
+// HTML form: the site sees /search requests and none under /api/.
+func TestReplayedConnectorSpecRunsOverHTML(t *testing.T) {
+	ds := datagen.Vehicles(400, 21)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := webform.NewServer(db, webform.Options{})
+	var searches, apiCalls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/search":
+			searches.Add(1)
+		case strings.HasPrefix(r.URL.Path, "/api/"):
+			apiCalls.Add(1)
+		}
+		site.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	journalDir := t.TempDir()
+	j, _, err := jobq.Open(journalDir, jobq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"url":"` + srv.URL + `","connector":"api","n":10,"workers":2,"seed":11}`
+	if err := j.Admit("j-0001", []byte(spec), time.Now().UTC()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, srv, Config{JournalDir: journalDir})
+	fin := waitJob(t, m, "j-0001", 30*time.Second, func(v View) bool { return v.State.Terminal() })
+	if fin.State != StateCompleted || fin.Accepted != 10 {
+		t.Fatalf("replayed job: %+v", fin)
+	}
+	if searches.Load() == 0 || apiCalls.Load() != 0 {
+		t.Fatalf("site saw %d /search and %d /api/ requests, want some and none", searches.Load(), apiCalls.Load())
 	}
 }
 

@@ -27,7 +27,7 @@ type Options struct {
 // layer. It is safe for concurrent use; in a typical stack it sits
 // directly above the raw connector, below the shared history cache:
 //
-//	sampler → history.Cache → queryexec.Executor → formclient.{API,HTTP}
+//	sampler → history.Cache → queryexec.Executor → formclient.HTTP
 type Executor struct {
 	inner formclient.Conn
 	opts  Options

@@ -42,7 +42,9 @@ type SamplerSpec struct {
 // Config tunes a matrix run.
 type Config struct {
 	// Seed drives everything: dataset generation, fault injection and the
-	// samplers. Equal configs replay identically.
+	// samplers. Equal configs replay each cell's accepted count, queries,
+	// retries, C, chi-square and KS, but not its Faults or QueriesSaved:
+	// its replicas share one cache, so timing decides whose miss is faulted.
 	Seed int64
 	// SamplesPerCell is the accepted-sample target of each cell.
 	SamplesPerCell int

@@ -2,14 +2,12 @@
 // interface over HTTP — the stand-in for Google Base in the original demo.
 // It renders an HTML search form whose select controls expose the attribute
 // domains, answers queries with a top-k HTML results page carrying an
-// explicit overflow notification and (optionally) a count estimate, offers
-// a machine-readable API variant, and enforces per-client rate limits the
-// way real data providers do.
+// explicit overflow notification and (optionally) a count estimate, and
+// enforces per-client rate limits the way real data providers do.
 package webform
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"math"
@@ -79,11 +77,9 @@ func NewServer(db *hiddendb.DB, opts Options) *Server {
 			"Interface request handling latency (all endpoints).")
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/", s.instrument("form", s.handleForm))
+	s.mux.HandleFunc("/{$}", s.instrument("form", s.handleForm))
 	s.mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
 	s.mux.HandleFunc("/item/", s.instrument("item", s.handleItem))
-	s.mux.HandleFunc("/api/schema", s.instrument("api_schema", s.handleAPISchema))
-	s.mux.HandleFunc("/api/search", s.instrument("api_search", s.handleAPISearch))
 	return s
 }
 
@@ -188,10 +184,6 @@ type formOption struct {
 }
 
 func (s *Server) handleForm(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	schema := s.db.Schema()
 	data := struct {
 		Title     string
@@ -394,93 +386,4 @@ func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 		data.Fields = append(data.Fields, struct{ Name, Value string }{schema.Attrs[a].Name, cells[a]})
 	}
 	renderHTML(w, itemTmpl, data)
-}
-
-// apiSchema is the JSON wire form of a schema.
-type apiSchema struct {
-	Name      string    `json:"name"`
-	K         int       `json:"k"`
-	CountMode string    `json:"count_mode"`
-	Attrs     []apiAttr `json:"attrs"`
-}
-
-type apiAttr struct {
-	Name    string       `json:"name"`
-	Kind    string       `json:"kind"`
-	Values  []string     `json:"values"`
-	Buckets [][2]float64 `json:"buckets,omitempty"`
-}
-
-func (s *Server) handleAPISchema(w http.ResponseWriter, r *http.Request) {
-	schema := s.db.Schema()
-	out := apiSchema{Name: schema.Name, K: s.db.K(), CountMode: s.db.CountMode().String()}
-	for _, a := range schema.Attrs {
-		aa := apiAttr{Name: a.Name, Kind: a.Kind.String(), Values: a.Values}
-		for _, b := range a.Buckets {
-			aa.Buckets = append(aa.Buckets, [2]float64{b.Lo, b.Hi})
-		}
-		out.Attrs = append(out.Attrs, aa)
-	}
-	writeJSON(w, out)
-}
-
-// apiResult is the JSON wire form of a query answer.
-type apiResult struct {
-	Overflow bool     `json:"overflow"`
-	Count    *int     `json:"count,omitempty"`
-	Rows     []apiRow `json:"rows"`
-}
-
-type apiRow struct {
-	ID   int                `json:"id"`
-	Vals []int              `json:"vals"`
-	Nums map[string]float64 `json:"nums,omitempty"`
-}
-
-func (s *Server) handleAPISearch(w http.ResponseWriter, r *http.Request) {
-	if s.rateLimited(w, r) {
-		return
-	}
-	q, err := s.parseQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	res, err := s.db.Execute(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, s.toAPIResult(res))
-}
-
-// toAPIResult converts a query answer to its JSON wire form.
-func (s *Server) toAPIResult(res *hiddendb.Result) apiResult {
-	schema := s.db.Schema()
-	out := apiResult{Overflow: res.Overflow, Rows: []apiRow{}}
-	if res.Count != hiddendb.CountAbsent {
-		c := res.Count
-		out.Count = &c
-	}
-	for i := range res.Tuples {
-		t := &res.Tuples[i]
-		row := apiRow{ID: t.ID, Vals: t.Vals}
-		for a := range schema.Attrs {
-			if v, ok := t.Num(a); ok {
-				if row.Nums == nil {
-					row.Nums = make(map[string]float64)
-				}
-				row.Nums[schema.Attrs[a].Name] = v
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

@@ -1,7 +1,6 @@
 package webform
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +15,7 @@ import (
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/htmlx"
+	"hdsampler/internal/telemetry"
 )
 
 func testDB(t *testing.T, k int, mode hiddendb.CountMode) *hiddendb.DB {
@@ -220,57 +220,27 @@ func TestItemPage(t *testing.T) {
 	}
 }
 
-func TestAPISchema(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testDB(t, 7, hiddendb.CountApprox), Options{}))
+// TestUnknownPathsAreNotCounted: a request outside the interface's
+// endpoints, such as /api/search or a browser's /favicon.ico, is a plain
+// 404 that webform_requests_total does not count as a form request.
+func TestUnknownPathsAreNotCounted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := httptest.NewServer(NewServer(testDB(t, 2, hiddendb.CountExact), Options{Metrics: reg}))
 	defer srv.Close()
-	code, body := get(t, srv, "/api/schema")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	for _, path := range []string{"/api/search?make=0", "/favicon.ico", "/search/"} {
+		if code, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
+		}
 	}
-	var got apiSchema
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("decode: %v", err)
+	if code, _ := get(t, srv, "/"); code != http.StatusOK {
+		t.Fatalf("GET / = %d", code)
 	}
-	if got.Name != "testdb" || got.K != 7 || got.CountMode != "approx" {
-		t.Fatalf("schema meta = %+v", got)
-	}
-	if len(got.Attrs) != 3 || got.Attrs[2].Kind != "numeric" || len(got.Attrs[2].Buckets) != 2 {
-		t.Fatalf("attrs = %+v", got.Attrs)
-	}
-}
-
-func TestAPISearch(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testDB(t, 10, hiddendb.CountExact), Options{}))
-	defer srv.Close()
-	code, body := get(t, srv, "/api/search?make=0")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	var got apiResult
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	if got.Overflow || got.Count == nil || *got.Count != 3 || len(got.Rows) != 3 {
-		t.Fatalf("result = %+v", got)
-	}
-	if got.Rows[0].Nums["price"] != 50 {
-		t.Fatalf("nums = %+v", got.Rows[0].Nums)
-	}
-	if code, _ := get(t, srv, "/api/search?make=zz"); code != http.StatusBadRequest {
-		t.Error("bad param not rejected")
-	}
-}
-
-func TestAPISearchCountAbsent(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testDB(t, 10, hiddendb.CountNone), Options{}))
-	defer srv.Close()
-	_, body := get(t, srv, "/api/search?make=0")
-	var got apiResult
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Count != nil {
-		t.Fatalf("count should be absent, got %v", *got.Count)
+	if want := `webform_requests_total{endpoint="form"} 1`; !strings.Contains(text.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, text.String())
 	}
 }
 
